@@ -36,8 +36,7 @@ func main() {
 	flag.IntVar(&rc.TripAfter, "breaker-trip", rc.TripAfter, "consecutive failures that trip a peer's circuit breaker (0 disables)")
 	flag.DurationVar(&rc.Cooldown, "breaker-cooldown", rc.Cooldown, "circuit breaker cooldown before a half-open probe")
 	var wc mendel.WireConfig
-	flag.StringVar(&wc.Codec, "rpc-codec", mendel.CodecBinary, "RPC wire codec: binary (negotiated, with transparent gob fallback against old peers) or gob (legacy framing)")
-	flag.BoolVar(&wc.Compress, "rpc-compress", false, "flate-compress block-transfer RPC frames sent to peers (binary codec only)")
+	flag.BoolVar(&wc.Compress, "rpc-compress", false, "flate-compress block-transfer RPC frames sent to peers")
 	flag.Parse()
 
 	srv, err := mendel.ServeNodeWire(*addr, rc, wc)

@@ -89,13 +89,12 @@ func resilienceFlags(fs *flag.FlagSet) func() mendel.ResilienceConfig {
 	}
 }
 
-// wireFlags registers the RPC codec flags shared by every subcommand and
+// wireFlags registers the RPC wire flags shared by every subcommand and
 // returns a function assembling the wire config after parsing.
 func wireFlags(fs *flag.FlagSet) func() mendel.WireConfig {
-	codec := fs.String("rpc-codec", mendel.CodecBinary, "RPC wire codec: binary (negotiated, with transparent gob fallback against old nodes) or gob (legacy framing)")
-	compress := fs.Bool("rpc-compress", false, "flate-compress block-transfer RPC frames (binary codec only)")
+	compress := fs.Bool("rpc-compress", false, "flate-compress block-transfer RPC frames")
 	return func() mendel.WireConfig {
-		return mendel.WireConfig{Codec: *codec, Compress: *compress}
+		return mendel.WireConfig{Compress: *compress}
 	}
 }
 

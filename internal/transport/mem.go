@@ -3,11 +3,11 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"math/rand"
 	"sync"
 	"time"
 
+	"mendel/internal/obs"
 	"mendel/internal/wire"
 )
 
@@ -38,8 +38,8 @@ type chaosState struct {
 
 // MemNetwork is an in-process transport: nodes register handlers under
 // string addresses and calls are direct function invocations, optionally
-// delayed by a latency model and optionally round-tripped through gob to
-// guarantee anything that works in-memory also works over TCP.
+// delayed by a latency model and optionally round-tripped through the TCP
+// framing to guarantee anything that works in-memory also works over TCP.
 type MemNetwork struct {
 	mu         sync.RWMutex
 	handlers   map[string]Handler
@@ -60,10 +60,11 @@ func WithLatency(l LatencyModel) MemOption {
 	return func(n *MemNetwork) { n.latency = l }
 }
 
-// WithEncodeCheck makes every call serialize its request and response
-// through the same codecs the TCP transport would pick — the binary codec
-// for hot messages, gob otherwise — so encoding bugs surface in in-process
-// tests (chaos suites included) without a real network.
+// WithEncodeCheck makes every call round-trip its request and response
+// through the same frame encode and decode helpers the TCP transport uses —
+// the binary codec for hot messages, gob inside the frame otherwise — so
+// encoding bugs surface in in-process tests (chaos suites included) without
+// a real network.
 func WithEncodeCheck() MemOption {
 	return func(n *MemNetwork) { n.encode = true }
 }
@@ -256,8 +257,9 @@ func (n *MemNetwork) call(ctx context.Context, src, addr string, req any) (any, 
 		return nil, err
 	}
 	if enc {
+		trace, _ := obs.TraceFromContext(ctx)
 		var err error
-		if req, err = codecRoundTrip(req); err != nil {
+		if req, err = roundTripRequest(trace, req); err != nil {
 			return nil, err
 		}
 	}
@@ -266,41 +268,44 @@ func (n *MemNetwork) call(ctx context.Context, src, addr string, req any) (any, 
 		return nil, &RemoteError{Addr: addr, Msg: err.Error()}
 	}
 	if enc {
-		if resp, err = codecRoundTrip(resp); err != nil {
+		if resp, err = roundTripResponse(resp); err != nil {
 			return nil, err
 		}
 	}
 	return resp, nil
 }
 
-// rtBufPool recycles the encode-check scratch buffers: with WithEncodeCheck
-// every in-memory RPC round-trips through gob twice, and a fresh
-// bytes.Buffer per message was pure garbage on the query fan-out path.
-var rtBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// codecRoundTrip serializes v the way the TCP transport would: hot messages
-// through the binary codec, everything else through gob. The binary decode
-// buffer is deliberately NOT pooled — decoded messages hold zero-copy views
-// into it, mirroring the real receive path's retention semantics so any
-// buffer-reuse bug shows up in memory-transport tests too.
-func codecRoundTrip(v any) (any, error) {
-	if data, ok := wire.AppendHot(nil, v); ok {
-		return wire.DecodeHot(data)
+// roundTripRequest passes req through the request frame encode and decode
+// steps a TCP exchange performs. readFrame gives the payload a fresh buffer
+// that decoded messages alias, mirroring the real receive path's retention
+// semantics so any buffer-reuse bug shows up in memory-transport tests too.
+func roundTripRequest(trace obs.TraceContext, req any) (any, error) {
+	fp := wire.GetFrame()
+	defer wire.PutFrame(fp)
+	frame, err := buildRequestFrame(fp, trace, req, false)
+	if err != nil {
+		return nil, err
 	}
-	return gobRoundTrip(v)
+	flags, payload, err := readFrame(bytes.NewReader(frame))
+	if err != nil {
+		return nil, err
+	}
+	_, v, err := decodeFrameRequest(flags, payload)
+	return v, err
 }
 
-func gobRoundTrip(v any) (any, error) {
-	buf := rtBufPool.Get().(*bytes.Buffer)
-	defer rtBufPool.Put(buf)
-	buf.Reset()
-	box := struct{ V any }{v}
-	if err := gob.NewEncoder(buf).Encode(&box); err != nil {
+// roundTripResponse is roundTripRequest for a successful response.
+func roundTripResponse(resp any) (any, error) {
+	fp := wire.GetFrame()
+	defer wire.PutFrame(fp)
+	frame, err := buildResponseFrame(fp, resp, "")
+	if err != nil {
 		return nil, err
 	}
-	var out struct{ V any }
-	if err := gob.NewDecoder(buf).Decode(&out); err != nil {
+	flags, payload, err := readFrame(bytes.NewReader(frame))
+	if err != nil {
 		return nil, err
 	}
-	return out.V, nil
+	env, err := decodeFrameResponse(flags, payload)
+	return env.V, err
 }

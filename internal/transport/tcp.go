@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,50 +19,24 @@ import (
 	"mendel/internal/wire"
 )
 
-// The TCP protocol speaks two framings on one connection, negotiated by the
-// first request/response exchange:
-//
-//   - Legacy gob: a persistent gob encoder/decoder pair per connection
-//     carrying reqEnvelope/respEnvelope. Every connection starts here, and
-//     connections to or from peers built before the binary codec stay here
-//     forever — gob ignores unknown struct fields, so the negotiation byte
-//     is invisible to old binaries.
-//   - Binary frames: after a client advertising Wire >= 1 receives a
-//     response echoing Wire >= 1, both sides switch the connection to
-//     length-prefixed frames ([flags byte][uvarint length][payload]). Hot
-//     messages use the wire package's hand-rolled binary codec; cold
-//     messages ride as self-contained gob payloads inside a frame (flags
-//     codec bit clear). Block-transfer frames may be flate-compressed
-//     (flags compression bit), decoded unconditionally, produced only when
-//     the sender enables compression.
-//
-// Negotiation is in lockstep: the server switches right after writing the
-// gob response that echoes Wire, the client right after reading it, and the
-// strict request/response discipline means no other bytes are in flight
-// during the switch. Both sides read through one bufio.Reader shared
-// between the gob decoder and the frame reader, so any read-ahead survives
-// the mode change.
+// The TCP protocol is one framing from the first byte of every
+// connection: length-prefixed frames ([flags byte][uvarint length][payload])
+// carrying strict request/response exchanges. Hot messages use the wire
+// package's hand-rolled binary codec (flags codec bit set); cold messages
+// ride as self-contained gob envelopes inside a frame (codec bit clear).
+// Block-transfer request frames may be flate-compressed (flags compression
+// bit): produced only when the sender enables compression, decoded
+// unconditionally. A frame with any other flag bit set — what a peer
+// speaking a different protocol sends first — drops the connection.
 type reqEnvelope struct {
 	V  any
 	TC obs.TraceContext
-	// Wire advertises the sender's protocol version (wireVersion) for
-	// codec negotiation; 0 — the value old binaries implicitly send —
-	// means gob-only.
-	Wire byte
 }
 
 type respEnvelope struct {
 	V   any
 	Err string
-	// Wire echoes a supported protocol version back to an advertising
-	// client; 0 declines the upgrade.
-	Wire byte
 }
-
-// wireVersion is the protocol version advertised and echoed in envelope
-// negotiation. Version 1 adds binary framing with per-message codec
-// dispatch.
-const wireVersion = 1
 
 // Frame flag bits and limits.
 const (
@@ -80,52 +55,34 @@ const (
 	// corrupt or adversarial length prefix cannot force a huge allocation.
 	maxFramePayload = 1 << 30
 
+	// frameChunk is the most readFrame allocates before payload bytes
+	// arrive; larger frames grow their buffer as they are read, so a
+	// length prefix alone cannot reserve more memory than this.
+	frameChunk = 1 << 20
+
 	// compressMin is the smallest payload worth deflating.
 	compressMin = 512
 )
 
-// Codec names accepted by WireConfig.
-const (
-	CodecBinary = "binary"
-	CodecGob    = "gob"
-)
-
-// WireConfig selects a peer's codec behaviour; the zero value means the
-// negotiated binary codec with no compression — the default everywhere.
+// WireConfig tunes a TCP client's outgoing frames; the zero value (no
+// compression) is the default everywhere.
 type WireConfig struct {
-	// Codec is "binary" (or empty) for negotiated binary framing with
-	// transparent gob fallback against old peers, or "gob" to pin the
-	// legacy framing (what a pre-codec binary speaks).
-	Codec string
 	// Compress enables flate compression of outgoing block-transfer
-	// request frames (wire.Compressible messages) on binary connections.
-	// Decompression is always supported, so only the sending side needs
-	// the flag.
+	// request frames (wire.Compressible messages). Decompression is always
+	// supported, so only the sending side needs the flag.
 	Compress bool
-}
-
-// forceGob reports whether the config pins the legacy framing.
-func (wc WireConfig) forceGob() (bool, error) {
-	switch wc.Codec {
-	case "", CodecBinary:
-		return false, nil
-	case CodecGob:
-		return true, nil
-	}
-	return false, fmt.Errorf("transport: unknown codec %q (want %q or %q)", wc.Codec, CodecBinary, CodecGob)
 }
 
 // TCPServer serves a node's handler over a TCP listener.
 type TCPServer struct {
 	ln net.Listener
 
-	mu       sync.Mutex
-	handler  Handler
-	reg      *obs.Registry
-	conns    map[net.Conn]bool
-	closed   bool
-	forceGob bool
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	handler Handler
+	reg     *obs.Registry
+	conns   map[net.Conn]bool
+	closed  bool
+	wg      sync.WaitGroup
 }
 
 // Observe attaches a metrics registry: connections accepted afterwards
@@ -134,22 +91,6 @@ func (s *TCPServer) Observe(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reg = reg
-}
-
-// SetWire configures the server's codec behaviour. CodecGob makes the
-// server behave like a pre-codec binary (never echo the negotiation byte),
-// which the mixed-version compatibility tests use as a stand-in for an old
-// deployment. Applies to connections whose first request arrives
-// afterwards.
-func (s *TCPServer) SetWire(wc WireConfig) error {
-	fg, err := wc.forceGob()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.forceGob = fg
-	return nil
 }
 
 // SetHandler installs or replaces the request handler. It exists so a node
@@ -231,37 +172,17 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		rw = &countingConn{Conn: conn,
 			sent: reg.Counter("server_bytes_sent"), recv: reg.Counter("server_bytes_recv")}
 	}
-	// One buffered reader feeds both framings, so bytes buffered ahead by
-	// the gob decoder are not lost when the connection upgrades.
 	br := bufio.NewReader(rw)
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(rw)
-	binMode := false
 	for {
-		var reqV any
-		var reqTC obs.TraceContext
-		upgrade := false
-		if binMode {
-			flags, payload, err := readFrame(br)
-			if err != nil {
-				return
-			}
-			reqTC, reqV, err = decodeFrameRequest(flags, payload)
-			if err != nil {
-				// Protocol corruption past negotiation: drop the
-				// connection rather than answer garbage.
-				return
-			}
-		} else {
-			var req reqEnvelope
-			if err := dec.Decode(&req); err != nil {
-				return
-			}
-			reqV, reqTC = req.V, req.TC
-			s.mu.Lock()
-			fg := s.forceGob
-			s.mu.Unlock()
-			upgrade = req.Wire >= wireVersion && !fg
+		flags, payload, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		reqTC, reqV, err := decodeFrameRequest(flags, payload)
+		if err != nil {
+			// Protocol corruption: drop the connection rather than
+			// answer garbage.
+			return
 		}
 		s.mu.Lock()
 		h := s.handler
@@ -286,24 +207,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 				reg.Counter("server_errors").Inc()
 			}
 		}
-		if binMode {
-			if err := writeFrameResponse(rw, respV, errStr); err != nil {
-				return
-			}
-		} else {
-			env := respEnvelope{V: respV, Err: errStr}
-			if upgrade {
-				env.Wire = wireVersion
-			}
-			if err := enc.Encode(&env); err != nil {
-				return
-			}
-			if upgrade {
-				binMode = true
-				if reg != nil {
-					reg.Counter("server_conns_binary").Inc()
-				}
-			}
+		if err := writeFrameResponse(rw, respV, errStr); err != nil {
+			return
 		}
 	}
 }
@@ -334,7 +239,6 @@ type TCPClient struct {
 	mu       sync.Mutex
 	reg      *obs.Registry
 	pools    map[string]chan *tcpConn
-	forceGob bool
 	compress bool
 }
 
@@ -351,38 +255,19 @@ func (c *TCPClient) Observe(reg *obs.Registry) {
 	drainPools(pools)
 }
 
-// SetWire configures the client's codec behaviour. CodecGob makes the
-// client behave like a pre-codec binary (never advertise the negotiation
-// byte); Compress deflates outgoing block-transfer frames on binary
-// connections. Existing pooled connections are dropped so the setting
-// applies uniformly.
-func (c *TCPClient) SetWire(wc WireConfig) error {
-	fg, err := wc.forceGob()
-	if err != nil {
-		return err
-	}
+// SetWire configures the client's outgoing frames: Compress deflates
+// block-transfer request frames.
+func (c *TCPClient) SetWire(wc WireConfig) {
 	c.mu.Lock()
-	c.forceGob = fg
+	defer c.mu.Unlock()
 	c.compress = wc.Compress
-	pools := c.pools
-	c.pools = make(map[string]chan *tcpConn)
-	c.mu.Unlock()
-	drainPools(pools)
-	return nil
 }
 
-// tcpConn is one pooled connection and its negotiated framing state.
+// tcpConn is one pooled connection.
 type tcpConn struct {
 	c  net.Conn
-	w  io.Writer     // conn, byte-counting when a registry is attached
-	br *bufio.Reader // shared by the gob decoder and the frame reader
-	// enc/dec are the legacy persistent gob pair; unused once bin is set.
-	enc *gob.Encoder
-	dec *gob.Decoder
-	// negotiated is set after the first exchange; bin after a successful
-	// upgrade to binary framing.
-	negotiated bool
-	bin        bool
+	w  io.Writer // conn, byte-counting when a registry is attached
+	br *bufio.Reader
 }
 
 // NewTCPClient creates a client keeping up to poolSize idle connections per
@@ -429,8 +314,7 @@ func (c *TCPClient) get(ctx context.Context, addr string) (tc *tcpConn, pooled b
 		rw = &countingConn{Conn: conn,
 			sent: reg.Counter("rpc_bytes_sent"), recv: reg.Counter("rpc_bytes_recv")}
 	}
-	br := bufio.NewReader(rw)
-	return &tcpConn{c: conn, w: rw, br: br, enc: gob.NewEncoder(rw), dec: gob.NewDecoder(br)}, false, nil
+	return &tcpConn{c: conn, w: rw, br: bufio.NewReader(rw)}, false, nil
 }
 
 func (c *TCPClient) put(addr string, tc *tcpConn) {
@@ -453,7 +337,7 @@ func (c *TCPClient) put(addr string, tc *tcpConn) {
 func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error) {
 	trace, _ := obs.TraceFromContext(ctx)
 	c.mu.Lock()
-	forceGob, compress, reg := c.forceGob, c.compress, c.reg
+	compress := c.compress
 	c.mu.Unlock()
 	for {
 		tc, pooled, err := c.get(ctx, addr)
@@ -466,27 +350,7 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 			tc.c.SetDeadline(time.Time{})
 		}
 		retriable := pooled && ctx.Err() == nil
-		var resp respEnvelope
-		var sendErr, recvErr error
-		if tc.bin {
-			resp, sendErr, recvErr = callBinary(tc, trace, req, compress)
-		} else {
-			env := reqEnvelope{V: req, TC: trace}
-			if !forceGob && !tc.negotiated {
-				env.Wire = wireVersion
-			}
-			if sendErr = tc.enc.Encode(&env); sendErr == nil {
-				if recvErr = tc.dec.Decode(&resp); recvErr == nil && !tc.negotiated {
-					tc.negotiated = true
-					if env.Wire >= wireVersion && resp.Wire >= wireVersion {
-						tc.bin = true
-						if reg != nil {
-							reg.Counter("rpc_conns_binary").Inc()
-						}
-					}
-				}
-			}
-		}
+		resp, sendErr, recvErr := exchange(tc, trace, req, compress)
 		if sendErr != nil {
 			tc.c.Close()
 			if retriable {
@@ -512,19 +376,38 @@ func (c *TCPClient) Call(ctx context.Context, addr string, req any) (any, error)
 	}
 }
 
-// callBinary performs one framed exchange on an upgraded connection.
-func callBinary(tc *tcpConn, trace obs.TraceContext, req any, compress bool) (resp respEnvelope, sendErr, recvErr error) {
+// exchange performs one framed request/response exchange on a connection.
+func exchange(tc *tcpConn, trace obs.TraceContext, req any, compress bool) (resp respEnvelope, sendErr, recvErr error) {
 	fp := wire.GetFrame()
-	defer func() { wire.PutFrame(fp) }()
+	defer wire.PutFrame(fp)
+	frame, err := buildRequestFrame(fp, trace, req, compress)
+	if err != nil {
+		return resp, err, nil
+	}
+	if _, sendErr = tc.w.Write(frame); sendErr != nil {
+		return resp, sendErr, nil
+	}
+	flags, payload, err := readFrame(tc.br)
+	if err != nil {
+		return resp, nil, err
+	}
+	resp, err = decodeFrameResponse(flags, payload)
+	return resp, nil, err
+}
+
+// buildRequestFrame encodes one request frame into the pooled buffer *fp —
+// binary for hot messages, an embedded gob envelope otherwise, deflated
+// when compress is set and the message is a large block transfer — and
+// returns its wire image, which aliases *fp.
+func buildRequestFrame(fp *[]byte, trace obs.TraceContext, req any, compress bool) ([]byte, error) {
 	buf := append((*fp)[:0], framePad...)
 	flags := byte(0)
 	if b, ok := wire.AppendRequest(buf, trace, req); ok {
 		buf, flags = b, frameBinary
 	} else {
-		// Cold request: self-contained gob envelope inside the frame.
 		b, err := gobEnvelopePayload(buf, &reqEnvelope{V: req, TC: trace})
 		if err != nil {
-			return resp, err, nil
+			return nil, err
 		}
 		buf = b
 	}
@@ -535,35 +418,13 @@ func callBinary(tc *tcpConn, trace obs.TraceContext, req any, compress bool) (re
 		}
 	}
 	*fp = buf
-	if _, sendErr = tc.w.Write(buildFrame(buf, flags)); sendErr != nil {
-		return resp, sendErr, nil
-	}
-	rflags, payload, err := readFrame(tc.br)
-	if err != nil {
-		return resp, nil, err
-	}
-	if payload, err = maybeInflate(rflags, payload); err != nil {
-		return resp, nil, err
-	}
-	if rflags&frameBinary != 0 {
-		msg, errMsg, err := wire.DecodeResponse(payload)
-		if err != nil {
-			return resp, nil, err
-		}
-		resp = respEnvelope{V: msg, Err: errMsg}
-		return resp, nil, nil
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp); err != nil {
-		return resp, nil, err
-	}
-	return resp, nil, nil
+	return buildFrame(buf, flags), nil
 }
 
-// writeFrameResponse encodes and writes one server-side response frame:
-// binary for hot messages and errors, an embedded gob envelope otherwise.
-func writeFrameResponse(w io.Writer, respV any, errStr string) error {
-	fp := wire.GetFrame()
-	defer func() { wire.PutFrame(fp) }()
+// buildResponseFrame encodes one response frame into the pooled buffer *fp
+// — binary for hot messages and errors, an embedded gob envelope otherwise
+// — and returns its wire image, which aliases *fp.
+func buildResponseFrame(fp *[]byte, respV any, errStr string) ([]byte, error) {
 	buf := append((*fp)[:0], framePad...)
 	flags := byte(0)
 	switch {
@@ -575,13 +436,24 @@ func writeFrameResponse(w io.Writer, respV any, errStr string) error {
 		} else {
 			b, err := gobEnvelopePayload(buf, &respEnvelope{V: respV})
 			if err != nil {
-				return err
+				return nil, err
 			}
 			buf = b
 		}
 	}
 	*fp = buf
-	_, err := w.Write(buildFrame(buf, flags))
+	return buildFrame(buf, flags), nil
+}
+
+// writeFrameResponse encodes and writes one server-side response frame.
+func writeFrameResponse(w io.Writer, respV any, errStr string) error {
+	fp := wire.GetFrame()
+	defer wire.PutFrame(fp)
+	frame, err := buildResponseFrame(fp, respV, errStr)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
 	return err
 }
 
@@ -602,24 +474,46 @@ func buildFrame(buf []byte, flags byte) []byte {
 	return buf[start:]
 }
 
+// frameReader is what readFrame consumes: a connection's bufio.Reader, or a
+// bytes.Reader over an in-memory frame.
+type frameReader interface {
+	io.Reader
+	io.ByteReader
+}
+
 // readFrame reads one frame, allocating a fresh payload buffer: decoded
 // messages hold zero-copy views into it and may be retained indefinitely
 // (stored blocks, cached regions), so received frames are never pooled.
-func readFrame(br *bufio.Reader) (flags byte, payload []byte, err error) {
-	flags, err = br.ReadByte()
+// Unknown flag bits are rejected before the length is read, and the buffer
+// starts at no more than frameChunk bytes and grows only as payload bytes
+// actually arrive, so a bare length prefix cannot reserve memory.
+func readFrame(r frameReader) (flags byte, payload []byte, err error) {
+	flags, err = r.ReadByte()
 	if err != nil {
 		return 0, nil, err
 	}
-	n, err := binary.ReadUvarint(br)
+	if flags&^(frameBinary|frameCompressed) != 0 {
+		return 0, nil, fmt.Errorf("transport: unknown frame flags 0x%02x", flags)
+	}
+	n, err := binary.ReadUvarint(r)
 	if err != nil {
 		return 0, nil, err
 	}
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return 0, nil, err
+	payload = make([]byte, 0, min(n, frameChunk))
+	for uint64(len(payload)) < n {
+		if len(payload) == cap(payload) {
+			// Double, but never past the declared length.
+			payload = slices.Grow(payload, int(min(n-uint64(len(payload)), uint64(len(payload)))))
+		}
+		end := int(min(uint64(cap(payload)), n))
+		m, err := io.ReadFull(r, payload[len(payload):end])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return 0, nil, err
+		}
 	}
 	return flags, payload, nil
 }
@@ -639,6 +533,21 @@ func decodeFrameRequest(flags byte, payload []byte) (obs.TraceContext, any, erro
 		return obs.TraceContext{}, nil, err
 	}
 	return req.TC, req.V, nil
+}
+
+// decodeFrameResponse turns a response frame payload into its envelope.
+func decodeFrameResponse(flags byte, payload []byte) (respEnvelope, error) {
+	payload, err := maybeInflate(flags, payload)
+	if err != nil {
+		return respEnvelope{}, err
+	}
+	if flags&frameBinary != 0 {
+		msg, errMsg, err := wire.DecodeResponse(payload)
+		return respEnvelope{V: msg, Err: errMsg}, err
+	}
+	var resp respEnvelope
+	err = gob.NewDecoder(bytes.NewReader(payload)).Decode(&resp)
+	return resp, err
 }
 
 // gobEnvelopePayload appends a self-contained gob encoding of env to dst —

@@ -3,10 +3,9 @@
 // network that wires nodes together inside a single process (with optional
 // simulated latency and failure injection, standing in for the paper's LAN
 // testbed), and a TCP transport for real multi-process deployments that
-// negotiates per-connection framing — length-prefixed binary frames using
-// the wire package's hand-rolled codec for hot messages, with a transparent
-// gob fallback for cold messages and for peers built before the binary
-// codec existed.
+// speaks length-prefixed frames from the first byte of every connection —
+// the wire package's hand-rolled binary codec for hot messages, a
+// self-contained gob envelope inside the frame for cold ones.
 package transport
 
 import (

@@ -26,17 +26,10 @@ type (
 // timeout, 2 retries, breaker tripping after 5 consecutive failures).
 func DefaultResilienceConfig() ResilienceConfig { return transport.DefaultResilientConfig() }
 
-// WireConfig selects the TCP wire codec ("binary", the default, or "gob"
-// for the legacy framing) and whether block-transfer frames are
-// flate-compressed. The zero value — negotiated binary codec, no
-// compression — is what ServeNode, NewTCPCluster and LoadManifestTCP use.
+// WireConfig selects whether outgoing block-transfer frames are
+// flate-compressed. The zero value — no compression — is what ServeNode,
+// NewTCPCluster and LoadManifestTCP use.
 type WireConfig = transport.WireConfig
-
-// Codec names for WireConfig.Codec.
-const (
-	CodecBinary = transport.CodecBinary
-	CodecGob    = transport.CodecGob
-)
 
 // NodeServer is a storage node serving the Mendel protocol over TCP.
 type NodeServer struct {
@@ -53,35 +46,23 @@ type NodeServer struct {
 // picks a free port). The node is inert until a coordinator bootstraps it
 // via Index or LoadManifest+Index.
 func ServeNode(addr string) (*NodeServer, error) {
-	return ServeNodeResilient(addr, DefaultResilienceConfig())
+	return ServeNodeWire(addr, DefaultResilienceConfig(), WireConfig{})
 }
 
-// ServeNodeResilient is ServeNode with an explicit resilience policy for
-// the node's own outbound client (used for group fan-out and aggregation
-// when the node acts as a group entry point).
-func ServeNodeResilient(addr string, rc ResilienceConfig) (*NodeServer, error) {
-	return ServeNodeWire(addr, rc, WireConfig{})
-}
-
-// ServeNodeWire is ServeNodeResilient with an explicit wire codec policy,
-// applied to both the node's server side and its own outbound client.
+// ServeNodeWire is ServeNode with an explicit resilience policy and wire
+// config for the node's own outbound client (used for group fan-out and
+// aggregation when the node acts as a group entry point, and for repair
+// pushes).
 func ServeNodeWire(addr string, rc ResilienceConfig, wc WireConfig) (*NodeServer, error) {
 	srv, err := transport.ListenTCP(addr, nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := srv.SetWire(wc); err != nil {
-		srv.Close()
 		return nil, err
 	}
 	// The node's advertised identity is the bound listener address (known
 	// only after listening); it uses a TCP client of its own to reach its
 	// group peers when acting as a group entry point.
 	client := transport.NewTCPClient(0)
-	if err := client.SetWire(wc); err != nil {
-		srv.Close()
-		return nil, err
-	}
+	client.SetWire(wc)
 	rcall := transport.NewResilientCaller(client, rc)
 	n := node.New(srv.Addr(), rcall)
 	srv.SetHandler(n)
@@ -163,23 +144,16 @@ func (s *NodeServer) Load(r io.Reader) error { return s.node.LoadFrom(r) }
 // NewTCPCluster creates a coordinator over TCP storage nodes arranged into
 // the given groups of addresses, with the default resilience policy.
 func NewTCPCluster(cfg Config, groups [][]string) (*Cluster, error) {
-	c, _, err := NewTCPClusterResilient(cfg, groups, DefaultResilienceConfig())
+	c, _, err := NewTCPClusterWire(cfg, groups, DefaultResilienceConfig(), WireConfig{})
 	return c, err
 }
 
-// NewTCPClusterResilient is NewTCPCluster with an explicit resilience
-// policy; the returned ResilientCaller exposes Stats() for observability.
-func NewTCPClusterResilient(cfg Config, groups [][]string, rc ResilienceConfig) (*Cluster, *ResilientCaller, error) {
-	return NewTCPClusterWire(cfg, groups, rc, WireConfig{})
-}
-
-// NewTCPClusterWire is NewTCPClusterResilient with an explicit wire codec
-// policy for the coordinator's outbound client.
+// NewTCPClusterWire is NewTCPCluster with an explicit resilience policy and
+// wire config for the coordinator's outbound client; the returned
+// ResilientCaller exposes Stats() for observability.
 func NewTCPClusterWire(cfg Config, groups [][]string, rc ResilienceConfig, wc WireConfig) (*Cluster, *ResilientCaller, error) {
 	client := transport.NewTCPClient(0)
-	if err := client.SetWire(wc); err != nil {
-		return nil, nil, err
-	}
+	client.SetWire(wc)
 	caller := transport.NewResilientCaller(client, rc)
 	c, err := core.NewCluster(cfg, caller, groups)
 	if err != nil {
@@ -196,23 +170,16 @@ func SaveManifest(c *Cluster, w io.Writer) error { return c.SaveManifest(w) }
 // LoadManifestTCP restores a coordinator from a manifest, talking to its
 // nodes over TCP with the default resilience policy.
 func LoadManifestTCP(r io.Reader) (*Cluster, error) {
-	c, _, err := LoadManifestTCPResilient(r, DefaultResilienceConfig())
+	c, _, err := LoadManifestTCPWire(r, DefaultResilienceConfig(), WireConfig{})
 	return c, err
 }
 
-// LoadManifestTCPResilient is LoadManifestTCP with an explicit resilience
-// policy; the returned ResilientCaller exposes Stats() for observability.
-func LoadManifestTCPResilient(r io.Reader, rc ResilienceConfig) (*Cluster, *ResilientCaller, error) {
-	return LoadManifestTCPWire(r, rc, WireConfig{})
-}
-
-// LoadManifestTCPWire is LoadManifestTCPResilient with an explicit wire
-// codec policy for the coordinator's outbound client.
+// LoadManifestTCPWire is LoadManifestTCP with an explicit resilience policy
+// and wire config for the coordinator's outbound client; the returned
+// ResilientCaller exposes Stats() for observability.
 func LoadManifestTCPWire(r io.Reader, rc ResilienceConfig, wc WireConfig) (*Cluster, *ResilientCaller, error) {
 	client := transport.NewTCPClient(0)
-	if err := client.SetWire(wc); err != nil {
-		return nil, nil, err
-	}
+	client.SetWire(wc)
 	caller := transport.NewResilientCaller(client, rc)
 	c, err := core.LoadManifest(r, caller)
 	if err != nil {

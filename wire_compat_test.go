@@ -1,7 +1,6 @@
 package mendel
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -11,9 +10,8 @@ import (
 
 // startWireCluster spins four real TCP storage nodes (two groups, two
 // replicas) with the node-side wire config wcNode, indexes db through a
-// coordinator using wcCoord, and returns the coordinator plus its metrics
-// registry.
-func startWireCluster(t *testing.T, db *Set, wcNode, wcCoord WireConfig) (*Cluster, *MetricsRegistry) {
+// coordinator using wcCoord, and returns the coordinator.
+func startWireCluster(t *testing.T, db *Set, wcNode, wcCoord WireConfig) *Cluster {
 	t.Helper()
 	var addrs []string
 	for i := 0; i < 4; i++ {
@@ -32,12 +30,10 @@ func startWireCluster(t *testing.T, db *Set, wcNode, wcCoord WireConfig) (*Clust
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewMetricsRegistry()
-	cluster.SetObservability(reg, nil)
 	if err := cluster.Index(context.Background(), db); err != nil {
 		t.Fatal(err)
 	}
-	return cluster, reg
+	return cluster
 }
 
 // repairSummary renders the stable fields of a repair report (everything
@@ -48,11 +44,9 @@ func repairSummary(r *RepairReport) string {
 }
 
 // TestWireCodecMixedVersionCompat runs identical index/search/repair
-// workloads over real TCP under every codec pairing a rolling upgrade can
-// produce — new both sides, old client against new server, new client
-// against old server (CodecGob pins the exact framing a pre-codec binary
-// speaks: the negotiation byte is never sent or echoed) — and requires
-// bit-identical search hits and identical repair outcomes everywhere.
+// workloads over real TCP with plain and flate-compressed block-transfer
+// frames, and requires bit-identical search hits and identical repair
+// outcomes: compression must be invisible above the framing.
 func TestWireCodecMixedVersionCompat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := buildSet(t, rng, 12, 300)
@@ -62,21 +56,18 @@ func TestWireCodecMixedVersionCompat(t *testing.T) {
 	}
 
 	scenarios := []struct {
-		name          string
-		node, coord   WireConfig
-		wantNegotiate bool // coordinator connections should upgrade to binary
+		name        string
+		node, coord WireConfig
 	}{
-		{"binary-both", WireConfig{}, WireConfig{}, true},
-		{"gob-client-new-server", WireConfig{}, WireConfig{Codec: CodecGob}, false},
-		{"new-client-gob-server", WireConfig{Codec: CodecGob}, WireConfig{}, false},
-		{"binary-compressed", WireConfig{Compress: true}, WireConfig{Compress: true}, true},
+		{"binary-both", WireConfig{}, WireConfig{}},
+		{"binary-compressed", WireConfig{Compress: true}, WireConfig{Compress: true}},
 	}
 
 	var wantHits [][]Hit
 	var wantRepair string
 	for i, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			cluster, reg := startWireCluster(t, db, sc.node, sc.coord)
+			cluster := startWireCluster(t, db, sc.node, sc.coord)
 			var hits [][]Hit
 			for _, q := range queries {
 				h, err := cluster.Search(context.Background(), q, DefaultParams())
@@ -88,9 +79,6 @@ func TestWireCodecMixedVersionCompat(t *testing.T) {
 			rep, err := cluster.Repair(context.Background())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got := reg.Counter("rpc_conns_binary").Value() > 0; got != sc.wantNegotiate {
-				t.Errorf("binary negotiation = %v, want %v", got, sc.wantNegotiate)
 			}
 			if i == 0 {
 				wantHits, wantRepair = hits, repairSummary(rep)
@@ -107,33 +95,5 @@ func TestWireCodecMixedVersionCompat(t *testing.T) {
 				t.Errorf("repair report diverges: got %q want %q", got, wantRepair)
 			}
 		})
-	}
-}
-
-// TestWireCodecManifestAcrossCodecs checks that a manifest saved by one
-// coordinator restores under the other codec and keeps answering queries —
-// the upgrade path where the coordinator binary changes between sessions.
-func TestWireCodecManifestAcrossCodecs(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	db := buildSet(t, rng, 8, 300)
-	cluster, _ := startWireCluster(t, db, WireConfig{}, WireConfig{Codec: CodecGob})
-	var manifest bytes.Buffer
-	if err := SaveManifest(cluster, &manifest); err != nil {
-		t.Fatal(err)
-	}
-	restored, _, err := LoadManifestTCPWire(&manifest, DefaultResilienceConfig(), WireConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := cluster.Search(context.Background(), db.Seqs[3].Data[30:150], DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := restored.Search(context.Background(), db.Seqs[3].Data[30:150], DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored coordinator hits diverge:\n  got:  %+v\n  want: %+v", got, want)
 	}
 }
