@@ -342,8 +342,9 @@ func BenchmarkTracingOverhead(b *testing.B) {
 	}
 }
 
-// benchmarkIngest measures ingest residues/sec with the given pipeline
-// (workers = 1 serial, 0 parallel default).
+// benchmarkIngest measures ingest residues/sec with the given worker count
+// (1 = one fragmenting worker, 0 = the default of one per core; at
+// GOMAXPROCS=1 the two are the same configuration).
 func benchmarkIngest(b *testing.B, workers int) {
 	rng := rand.New(rand.NewSource(6))
 	db := NewSet(Protein)
@@ -368,12 +369,12 @@ func benchmarkIngest(b *testing.B, workers int) {
 	b.ReportMetric(float64(db.TotalResidues()*b.N)/b.Elapsed().Seconds(), "residues/s")
 }
 
-// BenchmarkIndexThroughput measures ingest residues/sec through the default
-// (parallel) pipeline.
+// BenchmarkIndexThroughput measures ingest residues/sec with the default
+// worker pool.
 func BenchmarkIndexThroughput(b *testing.B) { benchmarkIngest(b, 0) }
 
-// BenchmarkIndexThroughputSerial is the IngestWorkers=1 baseline the
-// parallel pipeline's speedup is quoted against.
+// BenchmarkIndexThroughputSerial runs the same pipeline with IngestWorkers=1,
+// the baseline the default pool's speedup is quoted against.
 func BenchmarkIndexThroughputSerial(b *testing.B) { benchmarkIngest(b, 1) }
 
 // BenchmarkRepairThroughput measures anti-entropy re-replication speed:

@@ -176,7 +176,7 @@ func (c *Cluster) FetchTrace(ctx context.Context, traceID string) []obs.SpanSnap
 // TraceSource adapts FetchTrace to the obs HTTP surface, so a coordinator
 // process can serve /debug/trace/{id} with cluster-wide assembly:
 //
-//	obs.ServeWithTraces(addr, reg, tracer, cluster.TraceSource(ctx))
+//	obs.Surface{Registry: reg, Tracer: tracer, Trace: cluster.TraceSource(ctx)}.Serve(addr)
 func (c *Cluster) TraceSource(ctx context.Context) obs.TraceSource {
 	return func(traceID string) []obs.SpanSnapshot {
 		return c.FetchTrace(ctx, traceID)
@@ -189,25 +189,7 @@ func (c *Cluster) TraceSource(ctx context.Context) obs.TraceSource {
 // snapshot. The per-node bucket vectors share a fixed layout, so callers can
 // merge them cluster-wide with obs.MergeSnapshots.
 func (c *Cluster) MetricsDetailed(ctx context.Context) ([]wire.MetricsResult, []string, error) {
-	nodes := c.topology().AllNodes()
-	resps, errs := transport.BroadcastAll(ctx, c.caller, nodes, wire.Metrics{})
-	out := make([]wire.MetricsResult, 0, len(resps))
-	var down []string
-	for i, r := range resps {
-		if errs[i] != nil {
-			if errors.Is(errs[i], transport.ErrUnreachable) {
-				down = append(down, nodes[i])
-				continue
-			}
-			return nil, nil, fmt.Errorf("core: metrics from %s: %w", nodes[i], errs[i])
-		}
-		mr, ok := r.(wire.MetricsResult)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: metrics from %s: malformed reply %T", nodes[i], r)
-		}
-		out = append(out, mr)
-	}
-	return out, down, nil
+	return gather[wire.MetricsResult](ctx, c, wire.Metrics{}, "metrics")
 }
 
 // HistoryDetailed pulls the windowed time-series telemetry of every
@@ -217,25 +199,7 @@ func (c *Cluster) MetricsDetailed(ctx context.Context) ([]wire.MetricsResult, []
 // empty history. Callers merge the per-node series cluster-wide with
 // obs.MergeHistories.
 func (c *Cluster) HistoryDetailed(ctx context.Context, window time.Duration) ([]wire.MetricsHistoryResult, []string, error) {
-	nodes := c.topology().AllNodes()
-	resps, errs := transport.BroadcastAll(ctx, c.caller, nodes, wire.MetricsHistory{WindowNS: window.Nanoseconds()})
-	out := make([]wire.MetricsHistoryResult, 0, len(resps))
-	var down []string
-	for i, r := range resps {
-		if errs[i] != nil {
-			if errors.Is(errs[i], transport.ErrUnreachable) {
-				down = append(down, nodes[i])
-				continue
-			}
-			return nil, nil, fmt.Errorf("core: history from %s: %w", nodes[i], errs[i])
-		}
-		hr, ok := r.(wire.MetricsHistoryResult)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: history from %s: malformed reply %T", nodes[i], r)
-		}
-		out = append(out, hr)
-	}
-	return out, down, nil
+	return gather[wire.MetricsHistoryResult](ctx, c, wire.MetricsHistory{WindowNS: window.Nanoseconds()}, "history")
 }
 
 // HistorySource adapts HistoryDetailed — plus the coordinator's own local
@@ -321,9 +285,17 @@ func (c *Cluster) Stats(ctx context.Context) ([]wire.StatsResult, error) {
 // reached. Only a malformed reply or an application-level failure from a
 // live node is an error.
 func (c *Cluster) StatsDetailed(ctx context.Context) ([]wire.StatsResult, []string, error) {
+	return gather[wire.StatsResult](ctx, c, wire.Stats{}, "stats")
+}
+
+// gather broadcasts msg to every node and collects the replies of type R,
+// plus the addresses of the nodes that could not be reached. Only an
+// application-level failure or a malformed reply from a live node is an
+// error; what names the request in its text.
+func gather[R any](ctx context.Context, c *Cluster, msg any, what string) ([]R, []string, error) {
 	nodes := c.topology().AllNodes()
-	resps, errs := transport.BroadcastAll(ctx, c.caller, nodes, wire.Stats{})
-	out := make([]wire.StatsResult, 0, len(resps))
+	resps, errs := transport.BroadcastAll(ctx, c.caller, nodes, msg)
+	out := make([]R, 0, len(resps))
 	var down []string
 	for i, r := range resps {
 		if errs[i] != nil {
@@ -331,13 +303,13 @@ func (c *Cluster) StatsDetailed(ctx context.Context) ([]wire.StatsResult, []stri
 				down = append(down, nodes[i])
 				continue
 			}
-			return nil, nil, fmt.Errorf("core: stats from %s: %w", nodes[i], errs[i])
+			return nil, nil, fmt.Errorf("core: %s from %s: %w", what, nodes[i], errs[i])
 		}
-		sr, ok := r.(wire.StatsResult)
+		rr, ok := r.(R)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: stats from %s: malformed reply %T", nodes[i], r)
+			return nil, nil, fmt.Errorf("core: %s from %s: malformed reply %T", what, nodes[i], r)
 		}
-		out = append(out, sr)
+		out = append(out, rr)
 	}
 	return out, down, nil
 }

@@ -66,13 +66,11 @@ type Config struct {
 	// high-entropy segments). 0 derives the default; -1 forces exact
 	// (unbudgeted) search.
 	SearchBudget int
-	// IngestWorkers sets the fragmentation/hashing worker count of Index.
-	// 0 (the default) uses one worker per core with concurrent per-node
-	// batch senders; 1 selects the fully serial pipeline (the baseline the
-	// perf harness compares against); higher values pin the pool size.
-	// Either way block placement and the resulting per-node vp-trees are
-	// identical — the staged BuildIndex protocol makes ingest order
-	// irrelevant.
+	// IngestWorkers sets the fragmentation/hashing worker count of Index,
+	// whose workers feed one batch sender per node. 0 (the default) uses
+	// one worker per core; n > 0 pins the pool to n workers. Block
+	// placement and the resulting per-node vp-trees are identical at every
+	// count — the staged BuildIndex protocol makes ingest order irrelevant.
 	IngestWorkers int
 	// SketchK is the k-mer length of the sketch prefilter tier (§DESIGN 14).
 	// 0 derives the per-kind default (5 for protein, 11 for DNA); -1

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mendel/internal/dht"
 	"mendel/internal/invindex"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
@@ -171,13 +172,14 @@ func (c *Cluster) bootstrapMsg() (wire.Bootstrap, error) {
 }
 
 // storeSequences places each sequence on its repository shard. Shards are
-// independent, so the per-node StoreSequences calls run concurrently unless
-// the serial pipeline (IngestWorkers = 1) was requested. An unreachable
-// shard does not fail the ingest: its write set is parked as a hint and
-// replayed when the health monitor sees the node return (with Replicas >= 2
-// the surviving copies keep queries at full recall meanwhile).
+// independent, so the per-node StoreSequences calls run concurrently. An
+// unreachable shard does not fail the ingest: its write set is parked as a
+// hint and replayed when the health monitor sees the node return (with
+// Replicas >= 2 the surviving copies keep queries at full recall meanwhile).
 func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID) error {
 	byNode := make(map[string]*wire.StoreSequences)
+	// The ring is mutated in place by AddNode/RemoveNode under c.mu.
+	c.mu.RLock()
 	for _, s := range set.Seqs {
 		gid := base + s.ID
 		for _, node := range c.seqRing.LookupN(seqKey(gid), c.cfg.replicas()) {
@@ -191,24 +193,7 @@ func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID)
 			msg.Data = append(msg.Data, s.Data)
 		}
 	}
-	store := func(node string, msg *wire.StoreSequences) error {
-		if _, err := c.caller.Call(ctx, node, *msg); err != nil {
-			if errors.Is(err, transport.ErrUnreachable) {
-				c.hintSequences(node, *msg)
-				return nil
-			}
-			return fmt.Errorf("core: storing sequences on %s: %w", node, err)
-		}
-		return nil
-	}
-	if c.cfg.ingestWorkers() <= 1 {
-		for node, msg := range byNode {
-			if err := store(node, msg); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	c.mu.RUnlock()
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -218,8 +203,12 @@ func (c *Cluster) storeSequences(ctx context.Context, set *seq.Set, base seq.ID)
 		wg.Add(1)
 		go func(node string, msg *wire.StoreSequences) {
 			defer wg.Done()
-			if err := store(node, msg); err != nil {
-				errOnce.Do(func() { firstErr = err })
+			if _, err := c.caller.Call(ctx, node, *msg); err != nil {
+				if errors.Is(err, transport.ErrUnreachable) {
+					c.hintSequences(node, *msg)
+					return
+				}
+				errOnce.Do(func() { firstErr = fmt.Errorf("core: storing sequences on %s: %w", node, err) })
 			}
 		}(node, msg)
 	}
@@ -239,25 +228,25 @@ func (c *Cluster) hintBlocks(node string, blocks []wire.Block) {
 	c.reg.Counter("hints_queued").Add(int64(len(blocks)))
 }
 
-// dispatchBlocks fragments, hashes and ships every block, then broadcasts
-// BuildIndex so each node folds its staged blocks into the local vp-tree
-// with one bulk median-split build. Both pipelines stage: nodes sort the
-// staged set before building, so the serial and parallel paths produce
-// byte-identical trees (asserted by TestIngestSerialParallelEquivalence).
+// dispatchBlocks fragments, hashes and ships every block (see shipBlocks),
+// then broadcasts BuildIndex so each node folds its staged blocks into the
+// local vp-tree with one bulk median-split build. Nodes sort the staged set
+// before building, so the trees are byte-identical at every worker count
+// (asserted by TestIngestSerialParallelEquivalence).
+//
+// One topology snapshot serves the whole dispatch: it places every block,
+// names the per-node senders and addresses the BuildIndex broadcast. A
+// membership change that commits mid-ingest therefore cannot route a block
+// to a node without a sender; the new layout applies from the next Index.
 func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree) error {
-	var err error
-	if workers := c.cfg.ingestWorkers(); workers <= 1 {
-		err = c.dispatchSerial(ctx, set, base, blockCfg, tree)
-	} else {
-		err = c.dispatchParallel(ctx, set, base, blockCfg, tree, workers)
-	}
-	if err != nil {
+	topo := c.topology()
+	if err := c.shipBlocks(ctx, set, base, blockCfg, tree, topo); err != nil {
 		return err
 	}
 	// A node that went down mid-ingest must not fail the build for everyone
 	// else: its staged blocks are parked as hints, and the recovery sequence
 	// always ends with a BuildIndex, so nothing is lost — only deferred.
-	nodes := c.topology().AllNodes()
+	nodes := topo.AllNodes()
 	_, errs := transport.BroadcastAll(ctx, c.caller, nodes, wire.BuildIndex{})
 	for i, e := range errs {
 		if e != nil && !errors.Is(e, transport.ErrUnreachable) {
@@ -267,72 +256,17 @@ func (c *Cluster) dispatchBlocks(ctx context.Context, set *seq.Set, base seq.ID,
 	return nil
 }
 
-// dispatchSerial is the single-threaded ingest pipeline, kept both as the
-// IngestWorkers=1 escape hatch and as the baseline the perf harness and the
-// equivalence test compare the parallel pipeline against.
-func (c *Cluster) dispatchSerial(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree) error {
-	pending := make(map[string][]wire.Block)
-	flush := func(node string) error {
-		blocks := pending[node]
-		if len(blocks) == 0 {
-			return nil
-		}
-		if _, err := c.caller.Call(ctx, node, wire.IndexBlocks{Blocks: blocks, Stage: true}); err != nil {
-			if errors.Is(err, transport.ErrUnreachable) {
-				// Hinted handoff: park the batch for replay on recovery
-				// instead of failing the ingest (§VII-B fault tolerance).
-				c.hintBlocks(node, blocks)
-				pending[node] = nil
-				return nil
-			}
-			return fmt.Errorf("core: indexing blocks on %s: %w", node, err)
-		}
-		pending[node] = nil
-		return nil
-	}
-	replicas := c.cfg.replicas()
-	topo := c.topology()
-	for _, s := range set.Seqs {
-		gid := base + s.ID
-		for _, b := range invindex.Blocks(s, blockCfg) {
-			group := tree.Group(b.Content) // tier 1: similarity
-			// Tier 2: flat SHA-1 ring within the group, with optional
-			// replication to the next distinct ring members.
-			for _, node := range topo.ReplicasFor(group, b.Content, replicas) {
-				pending[node] = append(pending[node], wire.Block{
-					Seq:     gid,
-					Start:   b.Start,
-					Content: b.Content,
-					Context: b.Context,
-					CtxOff:  b.CtxOff,
-				})
-				if len(pending[node]) >= indexBatchBlocks {
-					if err := flush(node); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	for node := range pending {
-		if err := flush(node); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dispatchParallel is the concurrent ingest pipeline: a bounded pool of
+// shipBlocks is the ingest pipeline: a pool of Config.IngestWorkers
 // fragmentation workers pulls whole sequences from a feed, fragments them
 // into blocks and hashes each through both DHT tiers (vp-prefix tree, then
 // the group's SHA-1 ring), accumulating worker-local per-node batches; full
 // batches are handed to one sender goroutine per node, which serializes that
 // node's IndexBlocks RPCs. Fragmenting/hashing (CPU) thus overlaps with RPC
-// encode/transfer, and no two goroutines ever write to the same node
-// concurrently. The first error cancels the pipeline; block placement is a
-// pure function of content, so concurrency never changes where a block
-// lands, and staging (see dispatchBlocks) keeps the trees deterministic.
-func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, workers int) error {
+// encode/transfer, even with a single worker, and no two goroutines ever
+// write to the same node concurrently. The first error cancels the
+// pipeline; block placement is a pure function of content, so the worker
+// count never changes where a block lands.
+func (c *Cluster) shipBlocks(ctx context.Context, set *seq.Set, base seq.ID, blockCfg invindex.Config, tree *vphash.Tree, topo *dht.Topology) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -346,7 +280,8 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 		})
 	}
 
-	nodes := c.topology().AllNodes()
+	workers := c.cfg.ingestWorkers()
+	nodes := topo.AllNodes()
 	sendCh := make(map[string]chan []wire.Block, len(nodes))
 	var senders sync.WaitGroup
 	for _, node := range nodes {
@@ -361,9 +296,11 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 				}
 				if _, err := c.caller.Call(ctx, node, wire.IndexBlocks{Blocks: blocks, Stage: true}); err != nil {
 					if errors.Is(err, transport.ErrUnreachable) {
-						// Hinted handoff, as in the serial pipeline; the
-						// sender goroutine owns this node's batches, so
-						// hints preserve delivery order per node.
+						// Hinted handoff: park the batch for replay on
+						// recovery instead of failing the ingest (§VII-B
+						// fault tolerance). The sender goroutine owns this
+						// node's batches, so hints preserve delivery order
+						// per node.
 						c.hintBlocks(node, blocks)
 						continue
 					}
@@ -374,7 +311,6 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 	}
 
 	replicas := c.cfg.replicas()
-	topo := c.topology()
 	seqCh := make(chan *seq.Sequence)
 	var frags sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -394,7 +330,9 @@ func (c *Cluster) dispatchParallel(ctx context.Context, set *seq.Set, base seq.I
 				}
 				gid := base + s.ID
 				for _, b := range invindex.Blocks(s, blockCfg) {
-					group := tree.Group(b.Content)
+					group := tree.Group(b.Content) // tier 1: similarity
+					// Tier 2: flat SHA-1 ring within the group, with optional
+					// replication to the next distinct ring members.
 					for _, node := range topo.ReplicasFor(group, b.Content, replicas) {
 						pending[node] = append(pending[node], wire.Block{
 							Seq:     gid,

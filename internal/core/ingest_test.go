@@ -2,22 +2,27 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"mendel/internal/node"
 	"mendel/internal/seq"
 	"mendel/internal/transport"
 )
 
 // newIngestCluster builds an 8-node/4-group protein cluster with the given
-// ingest worker count, over the same deterministic configuration.
-func newIngestCluster(t *testing.T, workers int) *InProcess {
+// ingest worker count and replication factor, over the same deterministic
+// configuration.
+func newIngestCluster(t *testing.T, workers, replicas int) *InProcess {
 	t.Helper()
 	cfg := DefaultConfig(seq.Protein)
 	cfg.Groups = 4
 	cfg.SampleSize = 500
 	cfg.IngestWorkers = workers
+	cfg.Replicas = replicas
 	ip, err := NewInProcess(cfg, 8, transport.WithEncodeCheck())
 	if err != nil {
 		t.Fatal(err)
@@ -26,73 +31,175 @@ func newIngestCluster(t *testing.T, workers int) *InProcess {
 }
 
 // TestIngestSerialParallelEquivalence is the contract of the staged ingest
-// protocol: the serial (IngestWorkers=1) and parallel pipelines must place
-// every block on the same node and build identical local vp-trees, so
-// queries answer identically. Placement is content-hashed and trees are
-// built from the sorted staged set, so neither may depend on ingest
-// concurrency or RPC arrival order. Run under -race this also exercises the
+// protocol: every IngestWorkers count must place every block on the same
+// node and build identical local vp-trees, so queries answer identically.
+// Placement is content-hashed and trees are built from the sorted staged
+// set, so neither may depend on the worker count or RPC arrival order. The
+// down-replica case extends the contract to hinted handoff: a node that is
+// unreachable while a second batch is indexed parks the same hints at every
+// worker count, and after it heals and the health monitor replays them the
+// clusters are again identical. Run under -race this also exercises the
 // sender/worker synchronization.
 func TestIngestSerialParallelEquivalence(t *testing.T) {
+	cases := []struct {
+		name     string
+		replicas int
+		downNode bool
+	}{
+		{"healthy", 1, false},
+		{"down-replica", 2, true},
+	}
+	workerCounts := []int{1, 2, 8}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			// Every cluster ingests identical databases, from identical
+			// seeds; queries are drawn from a copy of the same data.
+			sets := func() []*seq.Set {
+				out := []*seq.Set{buildTestDB(rand.New(rand.NewSource(42)), 40, 400)}
+				if tc.downNode {
+					out = append(out, buildTestDB(rand.New(rand.NewSource(43)), 20, 400))
+				}
+				return out
+			}
+			clusters := make([]*InProcess, len(workerCounts))
+			hints := make([]int64, len(workerCounts))
+			for i, w := range workerCounts {
+				ip := newIngestCluster(t, w, tc.replicas)
+				db := sets()
+				if err := ip.Index(ctx, db[0]); err != nil {
+					t.Fatal(err)
+				}
+				if tc.downNode {
+					victim := ip.Topology().GroupNodes(1)[1]
+					ip.Net.Fail(victim)
+					if err := ip.Index(ctx, db[1]); err != nil {
+						t.Fatalf("workers=%d: ingest with a down replica: %v", w, err)
+					}
+					hints[i] = ip.HintsPending()
+					if hints[i] == 0 {
+						t.Fatalf("workers=%d: no hints parked for the down replica", w)
+					}
+					ip.Net.Heal(victim)
+					NewHealthMonitor(ip.Cluster, HealthConfig{}).ProbeOnce(ctx)
+					if pending := ip.HintsPending(); pending != 0 {
+						t.Fatalf("workers=%d: %d hints still pending after recovery", w, pending)
+					}
+				}
+				clusters[i] = ip
+			}
+			for i, w := range workerCounts[1:] {
+				if hints[i+1] != hints[0] {
+					t.Errorf("workers=%d parked %d hints, workers=%d parked %d",
+						w, hints[i+1], workerCounts[0], hints[0])
+				}
+			}
+
+			// Block placement and tree construction must match node for
+			// node.
+			ref, err := clusters[0].Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range workerCounts[1:] {
+				got, err := clusters[i+1].Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(ref) {
+					t.Fatalf("workers=%d: stats length %d vs %d", w, len(got), len(ref))
+				}
+				for n := range ref {
+					if ref[n].Node != got[n].Node ||
+						ref[n].Blocks != got[n].Blocks ||
+						ref[n].Residues != got[n].Residues ||
+						ref[n].Sequences != got[n].Sequences ||
+						ref[n].TreeSize != got[n].TreeSize {
+						t.Errorf("node %s diverged: workers=%d {blocks %d residues %d seqs %d tree %d} workers=%d {blocks %d residues %d seqs %d tree %d}",
+							ref[n].Node, workerCounts[0], ref[n].Blocks, ref[n].Residues, ref[n].Sequences, ref[n].TreeSize,
+							w, got[n].Blocks, got[n].Residues, got[n].Sequences, got[n].TreeSize)
+					}
+				}
+			}
+
+			// Queries — exact fragments and mutated homologs, from every
+			// ingested batch — must answer identically, hit for hit.
+			var sources []*seq.Sequence
+			for _, db := range sets() {
+				sources = append(sources, db.Seqs...)
+			}
+			rng := rand.New(rand.NewSource(99))
+			params := defaultTestParams()
+			for trial := 0; trial < 6; trial++ {
+				src := sources[rng.Intn(len(sources))]
+				start := rng.Intn(src.Len() - 120)
+				query := append([]byte(nil), src.Data[start:start+120]...)
+				if trial%2 == 1 {
+					query = mutateSubs(rng, query, 0.1)
+				}
+				want, err := clusters[0].Search(ctx, query, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, w := range workerCounts[1:] {
+					got, err := clusters[i+1].Search(ctx, query, params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("trial %d: workers=%d and workers=%d returned different hits:\n%v\nvs\n%v",
+							trial, workerCounts[0], w, want, got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestIngestConcurrentAddNode races AddNode against Index. The pipeline
+// reads the topology once, so a join that commits mid-ingest can neither
+// route a block to a node that has no sender (which would block Index
+// forever) nor drop the batch being indexed.
+func TestIngestConcurrentAddNode(t *testing.T) {
 	ctx := context.Background()
-	serial := newIngestCluster(t, 1)
-	parallel := newIngestCluster(t, 8)
-
-	// Identical databases, from identical seeds.
-	dbSerial := buildTestDB(rand.New(rand.NewSource(42)), 40, 400)
-	dbParallel := buildTestDB(rand.New(rand.NewSource(42)), 40, 400)
-
-	if err := serial.Index(ctx, dbSerial); err != nil {
+	ip := newIngestCluster(t, 2, 1)
+	if err := ip.Index(ctx, buildTestDB(rand.New(rand.NewSource(50)), 10, 300)); err != nil {
 		t.Fatal(err)
 	}
-	if err := parallel.Index(ctx, dbParallel); err != nil {
-		t.Fatal(err)
-	}
-
-	// Block placement and tree construction must match node for node.
-	ss, err := serial.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := parallel.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ss) != len(ps) {
-		t.Fatalf("stats length %d vs %d", len(ss), len(ps))
-	}
-	for i := range ss {
-		if ss[i].Node != ps[i].Node ||
-			ss[i].Blocks != ps[i].Blocks ||
-			ss[i].Residues != ps[i].Residues ||
-			ss[i].Sequences != ps[i].Sequences ||
-			ss[i].TreeSize != ps[i].TreeSize {
-			t.Errorf("node %s diverged: serial {blocks %d residues %d seqs %d tree %d} parallel {blocks %d residues %d seqs %d tree %d}",
-				ss[i].Node, ss[i].Blocks, ss[i].Residues, ss[i].Sequences, ss[i].TreeSize,
-				ps[i].Blocks, ps[i].Residues, ps[i].Sequences, ps[i].TreeSize)
-		}
-	}
-
-	// Queries — exact fragments and mutated homologs — must answer
-	// identically, hit for hit.
-	rng := rand.New(rand.NewSource(99))
 	params := defaultTestParams()
-	for trial := 0; trial < 6; trial++ {
-		src := dbSerial.Seqs[rng.Intn(len(dbSerial.Seqs))]
-		start := rng.Intn(src.Len() - 120)
-		query := append([]byte(nil), src.Data[start:start+120]...)
-		if trial%2 == 1 {
-			query = mutateSubs(rng, query, 0.1)
+	for round := 0; round < 20; round++ {
+		base := seq.ID(ip.NumSequences())
+		batch := buildTestDB(rand.New(rand.NewSource(int64(51+round))), 10, 300)
+		addr := fmt.Sprintf("node-join-%02d", round)
+		ip.Net.Register(addr, node.New(addr, ip.Net))
+
+		done := make(chan error, 2)
+		go func() { done <- ip.Index(ctx, batch) }()
+		go func() { done <- ip.AddNode(ctx, round%4, addr) }()
+		timeout := time.After(10 * time.Second)
+		for i := 0; i < 2; i++ {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			case <-timeout:
+				t.Fatalf("round %d: Index or AddNode did not return within 10s", round)
+			}
 		}
-		hs, err := serial.Search(ctx, query, params)
+
+		// The batch indexed across the join is searchable.
+		const pick = 4
+		hits, err := ip.Search(ctx, batch.Seqs[pick].Data[50:170], params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hp, err := parallel.Search(ctx, query, params)
-		if err != nil {
-			t.Fatal(err)
+		found := false
+		for _, h := range hits {
+			found = found || h.Seq == base+pick
 		}
-		if !reflect.DeepEqual(hs, hp) {
-			t.Fatalf("trial %d: serial and parallel clusters returned different hits:\n%v\nvs\n%v", trial, hs, hp)
+		if !found {
+			t.Fatalf("round %d: exact fragment of sequence %d not found (%d hits)", round, base+pick, len(hits))
 		}
 	}
 }
@@ -102,7 +209,7 @@ func TestIngestSerialParallelEquivalence(t *testing.T) {
 // must be found.
 func TestIngestParallelGrowsDatabase(t *testing.T) {
 	ctx := context.Background()
-	ip := newIngestCluster(t, 4)
+	ip := newIngestCluster(t, 4, 1)
 
 	first := buildTestDB(rand.New(rand.NewSource(7)), 20, 300)
 	second := buildTestDB(rand.New(rand.NewSource(8)), 20, 300)

@@ -37,7 +37,7 @@ func newGatewayServer(t *testing.T, gcfg gateway.Config) (*httptest.Server, *cor
 	}
 	reg := obs.NewRegistry()
 	gw := gateway.New(ip.Cluster, gcfg, reg)
-	srv := httptest.NewServer(obs.HandlerWithRoutes(reg, nil, nil, nil, gw.Routes()...))
+	srv := httptest.NewServer(obs.Surface{Registry: reg, Routes: gw.Routes()}.Handler())
 	t.Cleanup(srv.Close)
 	return srv, ip
 }
