@@ -184,7 +184,7 @@ func cmdQuery(args []string) {
 	mask := fs.Bool("mask", false, "mask low-complexity query regions before searching")
 	translated := fs.Bool("translated", false, "treat queries as DNA and search a protein cluster in all six reading frames (blastx-style)")
 	trace := fs.Bool("trace", false, "print a per-stage execution trace for each query")
-	prefilter := fs.String("prefilter", "bloom", "sketch group prefilter consulted before fan-out: bloom, minhash, or off (escape hatch)")
+	prefilter := fs.String("prefilter", "bloom", "sketch group prefilter consulted before fan-out: bloom, or off (every routed group is contacted; the recall reference)")
 	metricsAddr := fs.String("metrics-addr", "", "host:port for the coordinator's HTTP observability endpoint (/metrics, /debug/spans, /debug/trace/{id}, /debug/pprof); empty disables")
 	traceSample := fs.Float64("trace-sample", 1, "fraction of queries traced cluster-wide (head-based sampling; 0 disables distributed tracing)")
 	logJSON := fs.Bool("log-json", false, "emit per-query structured JSON logs on stderr, stamped with the trace ID")
@@ -354,7 +354,7 @@ func cmdQuery(args []string) {
 // cmdSimilarity ranks indexed sequences by alignment-free MinHash Jaccard
 // similarity to each query — no fan-out, no alignment, just the coordinator's
 // per-sequence signatures from the manifest. With -verify it becomes the CI
-// recall gate's minhash leg: the stored signatures are checked bit-for-bit
+// recall gate's similarity leg: the stored signatures are checked bit-for-bit
 // against ones recomputed from the reference FASTA, and every estimate is
 // checked against the exact k-mer Jaccard within -bound.
 func cmdSimilarity(args []string) {
@@ -408,7 +408,7 @@ func cmdSimilarity(args []string) {
 	}
 }
 
-// verifySimilarity is the minhash leg of the CI recall gate. It first proves
+// verifySimilarity is the similarity leg of the CI recall gate. It first proves
 // the manifest's per-sequence signatures are exactly what the reference FASTA
 // produces (so the estimates under test are the ones queries actually see),
 // then bounds the estimation error of every query x reference pair against
@@ -886,7 +886,7 @@ func cmdServe(args []string) {
 	coalesce := fs.Bool("coalesce", true, "batch concurrent queries' per-group fan-out RPCs")
 	coalesceTick := fs.Duration("coalesce-tick", 2*time.Millisecond, "max extra latency a query pays waiting for batch companions")
 	sample := fs.Float64("trace-sample", 0.01, "fraction of queries traced end to end")
-	prefilter := fs.String("prefilter", "bloom", "sketch group prefilter consulted before fan-out: bloom, minhash, or off (escape hatch)")
+	prefilter := fs.String("prefilter", "bloom", "sketch group prefilter consulted before fan-out: bloom, or off (every routed group is contacted; the recall reference)")
 	sampleEvery := fs.Duration("sample-interval", time.Second, "windowed telemetry sampling interval")
 	historySamples := fs.Int("history-samples", 300, "telemetry ring capacity (samples retained)")
 	sloP95 := fs.Duration("slo-p95", 0, "SLO: windowed p95 search latency objective (0 disables)")

@@ -80,9 +80,9 @@ type Config struct {
 	// SketchBloomBits sizes each node's Bloom signature in bits (rounded up
 	// to a power of two). 0 derives the default (1 MiBit).
 	SketchBloomBits int
-	// SketchMinHashK is the bottom-k MinHash sketch size used by the
-	// alignment-free Similarity mode and the minhash prefilter. 0 derives
-	// the default (512).
+	// SketchMinHashK sizes the per-sequence bottom-k MinHash signatures of
+	// the alignment-free Similarity mode (group signatures are Bloom-only
+	// and ignore it). 0 derives the default (512).
 	SketchMinHashK int
 	// TraceSampleRate is the head-based sampling rate for distributed query
 	// traces, in (0,1]: 1 traces every query, 0.01 one query in a hundred.
@@ -186,10 +186,16 @@ func (c Config) sketchParams() sketch.Params {
 	if c.SketchBloomBits > 0 {
 		p.BloomBits = c.SketchBloomBits
 	}
-	if c.SketchMinHashK > 0 {
-		p.MinHashK = c.SketchMinHashK
-	}
 	return p
+}
+
+// minHashK returns the effective size of the per-sequence similarity
+// signatures (zero means the default).
+func (c Config) minHashK() int {
+	if c.SketchMinHashK > 0 {
+		return c.SketchMinHashK
+	}
+	return sketch.DefaultMinHashK
 }
 
 // DefaultSearchBudget bounds local lookups to a few thousand distance

@@ -345,7 +345,7 @@ func (c *Cluster) recoverNode(ctx context.Context, addr string, booted bool) err
 		if !indexed {
 			return nil // nothing to restore on an unindexed cluster
 		}
-		boot, err := c.bootstrapMsg()
+		boot, err := c.bootstrapMsg(c.groupsSnapshot())
 		if err != nil {
 			return err
 		}

@@ -120,7 +120,7 @@ func (c *Cluster) buildHashTree(set *seq.Set, blockCfg invindex.Config) (*vphash
 // re-bootstraps them on recovery (Pong.Booted tells it to) — but a cluster
 // where nobody answers, or a live node that rejects the state, does.
 func (c *Cluster) bootstrapNodes(ctx context.Context) error {
-	boot, err := c.bootstrapMsg()
+	boot, err := c.bootstrapMsg(c.groupsSnapshot())
 	if err != nil {
 		return err
 	}
@@ -143,10 +143,12 @@ func (c *Cluster) bootstrapNodes(ctx context.Context) error {
 	return nil
 }
 
-// bootstrapMsg assembles the Bootstrap message carrying the current shared
-// cluster state, used both at first ingest and when the health monitor
-// re-bootstraps a node that restarted empty.
-func (c *Cluster) bootstrapMsg() (wire.Bootstrap, error) {
+// bootstrapMsg assembles the Bootstrap message carrying the shared cluster
+// state under the given group lists: the current ones at first ingest and
+// when the health monitor re-bootstraps a node that restarted empty, the
+// successor topology when AddNode joins a node. It is the only place a
+// Bootstrap is built, so every booted node gets the same sketch shape.
+func (c *Cluster) bootstrapMsg(groups [][]string) (wire.Bootstrap, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.hashTree == nil {
@@ -162,12 +164,11 @@ func (c *Cluster) bootstrapMsg() (wire.Bootstrap, error) {
 		Metric:          c.met.Name(),
 		BlockLen:        c.cfg.BlockLen,
 		Margin:          c.cfg.Margin,
-		Groups:          c.groups,
+		Groups:          groups,
 		Kind:            c.cfg.Kind,
 		SearchBudget:    c.cfg.searchBudget(),
 		SketchK:         sp.K,
 		SketchBloomBits: sp.BloomBits,
-		SketchMinHashK:  sp.MinHashK,
 	}, nil
 }
 

@@ -112,14 +112,17 @@ func LoadManifest(r io.Reader, caller transport.Caller) (*Cluster, error) {
 	}
 	if len(m.GroupSketches) > 0 {
 		c.groupSketches = make(map[int]*sketch.Sketch, len(m.GroupSketches))
+		c.sketchComplete = m.SketchComplete
 		for g, enc := range m.GroupSketches {
 			s, err := sketch.UnmarshalBinary(enc)
 			if err != nil {
-				return nil, fmt.Errorf("core: decoding group %d sketch: %w", g, err)
+				// A sketch in a retired encoding: the group stays
+				// contactable until the next refresh rebuilds it.
+				delete(c.sketchComplete, g)
+				continue
 			}
 			c.groupSketches[g] = s
 		}
-		c.sketchComplete = m.SketchComplete
 	}
 	if len(m.HashTree) > 0 {
 		tree := new(vphash.Tree)

@@ -30,11 +30,6 @@ func (c *Cluster) AddNode(ctx context.Context, g int, addr string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("core: group %d out of range", g)
 	}
-	enc, err := c.hashTree.MarshalBinary()
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
 	newGroups := make([][]string, len(c.groups))
 	for i, members := range c.groups {
 		newGroups[i] = append([]string(nil), members...)
@@ -51,14 +46,9 @@ func (c *Cluster) AddNode(ctx context.Context, g int, addr string) error {
 		return err
 	}
 
-	boot := wire.Bootstrap{
-		HashTree:     enc,
-		Metric:       c.met.Name(),
-		BlockLen:     c.cfg.BlockLen,
-		Margin:       c.cfg.Margin,
-		Groups:       newGroups,
-		Kind:         c.cfg.Kind,
-		SearchBudget: c.cfg.searchBudget(),
+	boot, err := c.bootstrapMsg(newGroups)
+	if err != nil {
+		return err
 	}
 	if _, err := c.caller.Call(ctx, addr, boot); err != nil {
 		return fmt.Errorf("core: bootstrapping new node %s: %w", addr, err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mendel/internal/node"
@@ -57,6 +58,36 @@ func TestAddNodeJoinsAndReceivesNewBlocks(t *testing.T) {
 	}
 	if len(hits) == 0 || hits[0].Seq != 19 { // 15 + 4
 		t.Fatalf("post-join data not found: %+v", hits)
+	}
+
+	// The joiner was bootstrapped with the cluster's sketch shape, so after
+	// the post-join refresh every group's merged sketch covers all members
+	// and the bloom prefilter may prune again — with hits unchanged.
+	for g := 0; g < 2; g++ {
+		if !ip.GroupSketchComplete(g) {
+			t.Errorf("group %d sketch incomplete after the join", g)
+		}
+	}
+	queries := [][]byte{
+		first.Seqs[8].Data[40:160],
+		second.Seqs[4].Data[40:160],
+		second.Seqs[11].Data[10:26],
+		randProtein(rng, 24),
+	}
+	for i, q := range queries {
+		ip.SetPrefilterMode(PrefilterOff)
+		want, err := ip.Search(ctx, q, defaultTestParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ip.SetPrefilterMode(PrefilterBloom)
+		got, err := ip.Search(ctx, q, defaultTestParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d: bloom prefilter hits diverge from unfiltered hits after the join", i)
+		}
 	}
 }
 

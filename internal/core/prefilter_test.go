@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -70,31 +72,68 @@ func TestPrefilterBloomExactRecall(t *testing.T) {
 	}
 }
 
-func TestPrefilterMinHashNoError(t *testing.T) {
-	ip := newTestCluster(t, 8, 4)
-	rng := rand.New(rand.NewSource(12))
+func TestParsePrefilterMode(t *testing.T) {
+	for _, m := range []PrefilterMode{PrefilterOff, PrefilterBloom} {
+		if got, err := ParsePrefilterMode(m.String()); err != nil || got != m {
+			t.Errorf("ParsePrefilterMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	// The sampled minhash mode is gone: its drops had no disjointness
+	// proof behind them, and bloom skips every group it could.
+	if _, err := ParsePrefilterMode("minhash"); err == nil {
+		t.Error(`ParsePrefilterMode("minhash") accepted a removed mode`)
+	}
+}
+
+// TestManifestDropsRetiredGroupSketch loads a manifest whose group 0
+// sketch is in the retired version-1 encoding (Bloom plus bottom-k): the
+// load succeeds, group 0 is left contactable, and bloom hits still equal
+// unfiltered hits.
+func TestManifestDropsRetiredGroupSketch(t *testing.T) {
+	ip := newTestCluster(t, 4, 2)
+	rng := rand.New(rand.NewSource(15))
 	ctx := context.Background()
-	db := buildTestDB(rng, 40, 300)
+	db := buildTestDB(rng, 20, 300)
 	if err := ip.Index(ctx, db); err != nil {
 		t.Fatal(err)
 	}
-	ip.SetPrefilterMode(PrefilterMinHash)
-	p := defaultTestParams()
-	// An indexed excerpt must still be found: its k-mers are in every
-	// holding group's Bloom filter, so minhash sampling cannot rule its
-	// groups out.
-	q := db.Seqs[7].Data[30:150]
-	hits, _, err := ip.SearchTrace(ctx, q, p)
+	var buf bytes.Buffer
+	if err := ip.SaveManifest(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := gob.NewDecoder(&buf).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	m.GroupSketches[0] = []byte{1, byte(seq.Protein), 5, 64, 8, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&m); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadManifest(&buf, ip.Net)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("manifest with a retired group sketch rejected: %v", err)
 	}
-	if len(hits) == 0 || hits[0].Seq != 7 {
-		t.Fatalf("minhash prefilter lost the exact excerpt (hits=%d)", len(hits))
+	if restored.GroupSketchComplete(0) || restored.GroupSketchBytes(0) != nil {
+		t.Error("retired group 0 sketch still marked usable")
 	}
-	// A foreign query must not error; either groups are skipped or the
-	// whole-query guard keeps the fan-out.
-	if _, _, err := ip.SearchTrace(ctx, randProtein(rng, 64), p); err != nil {
-		t.Fatal(err)
+	if !restored.GroupSketchComplete(1) {
+		t.Error("group 1 sketch lost on load")
+	}
+	for _, q := range [][]byte{db.Seqs[5].Data[20:140], randProtein(rng, 24)} {
+		want, err := restored.Search(ctx, q, defaultTestParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored.SetPrefilterMode(PrefilterBloom)
+		got, err := restored.Search(ctx, q, defaultTestParams())
+		restored.SetPrefilterMode(PrefilterOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d-residue query: bloom hits diverge after loading a retired sketch", len(q))
+		}
 	}
 }
 
@@ -126,7 +165,7 @@ func TestPrefilterDisabledBySketchConfig(t *testing.T) {
 		t.Fatalf("prefilter skipped %d groups with sketching disabled", trace.GroupsSkipped)
 	}
 	if _, err := ip.Similarity(q, 5); err == nil {
-		t.Error("Similarity succeeded with MinHash sketching disabled")
+		t.Error("Similarity succeeded with sketching disabled")
 	}
 }
 

@@ -19,19 +19,13 @@ type PrefilterMode int
 const (
 	// PrefilterOff disables the prefilter: every vp-hash-routed group is
 	// contacted (the pre-sketch behaviour, and the recall baseline the CI
-	// recall gate compares the other modes against).
+	// recall gate compares PrefilterBloom against).
 	PrefilterOff PrefilterMode = iota
 	// PrefilterBloom drops a group from a window's fan-out only when the
 	// group's Bloom filter proves the window shares no k-mer with any block
 	// the group holds. "Definitely absent" is exact, so this mode returns
 	// hits bit-identical to PrefilterOff (see DESIGN.md §14).
 	PrefilterBloom
-	// PrefilterMinHash skips a group when none of the query's bottom-k
-	// MinHash samples land in the group's Bloom filter — a cheaper
-	// whole-query test that, unlike PrefilterBloom, samples rather than
-	// proves (its accuracy contract is the Jaccard error bound checked by
-	// the CI recall gate).
-	PrefilterMinHash
 )
 
 // String renders the mode as its flag spelling.
@@ -39,24 +33,20 @@ func (m PrefilterMode) String() string {
 	switch m {
 	case PrefilterBloom:
 		return "bloom"
-	case PrefilterMinHash:
-		return "minhash"
 	default:
 		return "off"
 	}
 }
 
-// ParsePrefilterMode parses the -prefilter flag values off|bloom|minhash.
+// ParsePrefilterMode parses the -prefilter flag values off|bloom.
 func ParsePrefilterMode(s string) (PrefilterMode, error) {
 	switch s {
 	case "", "off":
 		return PrefilterOff, nil
 	case "bloom":
 		return PrefilterBloom, nil
-	case "minhash":
-		return PrefilterMinHash, nil
 	}
-	return PrefilterOff, fmt.Errorf("core: unknown prefilter mode %q (want off, bloom or minhash)", s)
+	return PrefilterOff, fmt.Errorf("core: unknown prefilter mode %q (want off or bloom)", s)
 }
 
 // SetPrefilterMode selects the group prefilter consulted before fan-out.
@@ -150,10 +140,11 @@ func (c *Cluster) GroupSketchBytes(g int) []byte {
 	return enc
 }
 
-// prefilterGroups edits groupOffsets in place according to the active
-// prefilter mode, returning how many whole groups were dropped and how
-// often the false-drop guard fired. Only groups whose merged sketch is
-// complete and non-empty are ever pruned.
+// prefilterGroups applies the bloom prefilter (Search calls it unless the
+// mode is PrefilterOff), editing groupOffsets in place and returning how
+// many whole groups were dropped and how often the false-drop guard fired.
+// Only groups whose merged sketch is complete and non-empty are ever
+// pruned.
 func (c *Cluster) prefilterGroups(q []byte, groupOffsets map[int][]int) (skipped, guarded int) {
 	c.mu.RLock()
 	sketches := c.groupSketches
@@ -168,81 +159,51 @@ func (c *Cluster) prefilterGroups(q []byte, groupOffsets map[int][]int) (skipped
 	}
 	before := len(groupOffsets)
 
-	switch c.prefilter {
-	case PrefilterBloom:
-		// Per-window pruning: a (window, group) route is dropped only when
-		// the group's Bloom filter proves the window shares no canonical
-		// k-mer with anything the group stores. Stride-1 blocking
-		// guarantees an exactly matching window exists verbatim as a block
-		// in its group — such a window shares all of its k-mers and is
-		// never dropped. In practice stride-1 also smears every database
-		// k-mer across many groups, so disjointness is usually
-		// all-or-nothing per window: the skips come from windows (and whole
-		// queries) that match nothing in the database. A window dropped
-		// from every group increments PrefilterGuard — the signal audited
-		// by the recall gate, since such drops rest on the k-mer
-		// disjointness proof alone (see DESIGN.md §14).
-		w := c.cfg.BlockLen
-		byOffset := make(map[int][]int)
-		for g, offs := range groupOffsets {
-			for _, off := range offs {
-				byOffset[off] = append(byOffset[off], g)
-			}
-		}
-		kept := make(map[int][]int, before)
-		for off, gs := range byOffset {
-			window := q[off : off+w]
-			dropped := 0
-			for _, g := range gs {
-				if s, ok := prunable(g); ok && !s.SharesAny(window) {
-					dropped++
-					continue
-				}
-				kept[g] = append(kept[g], off)
-			}
-			if dropped == len(gs) {
-				guarded++
-			}
-		}
-		for g := range groupOffsets {
-			delete(groupOffsets, g)
-		}
-		for g, offs := range kept {
-			// byOffset iteration order is random; restore the ascending
-			// offset order decomposition produced so node-side processing
-			// stays deterministic.
-			sort.Ints(offs)
-			groupOffsets[g] = offs
-		}
-
-	case PrefilterMinHash:
-		// Whole-query sampling: probe the query's bottom-k k-mer hashes
-		// against each group's Bloom filter and skip groups where none
-		// land. Cheaper than hashing every window, but a sample — the CI
-		// recall gate bounds its Jaccard-estimate error rather than
-		// asserting exactness.
-		p := c.cfg.sketchParams()
-		qs := sketch.New(sketch.Params{K: p.K, MinHashK: p.MinHashK, Kind: p.Kind})
-		qs.Add(q)
-		hashes := qs.MinHashes()
-		if len(hashes) == 0 {
-			return 0, 0
-		}
-		var drop []int
-		for g := range groupOffsets {
-			if s, ok := prunable(g); ok && sketch.EstimateContainment(hashes, s) == 0 {
-				drop = append(drop, g)
-			}
-		}
-		if len(drop) == len(groupOffsets) {
-			// Guard: a query that samples into no group keeps its full
-			// fan-out rather than returning an empty answer unverified.
-			return 0, 1
-		}
-		for _, g := range drop {
-			delete(groupOffsets, g)
+	// Per-window pruning: a (window, group) route is dropped only when
+	// the group's Bloom filter proves the window shares no canonical
+	// k-mer with anything the group stores. Stride-1 blocking
+	// guarantees an exactly matching window exists verbatim as a block
+	// in its group — such a window shares all of its k-mers and is
+	// never dropped. In practice stride-1 also smears every database
+	// k-mer across many groups, so disjointness is usually
+	// all-or-nothing per window: the skips come from windows (and whole
+	// queries) that match nothing in the database. A window dropped
+	// from every group increments PrefilterGuard — the signal audited
+	// by the recall gate, since such drops rest on the k-mer
+	// disjointness proof alone (see DESIGN.md §14).
+	w := c.cfg.BlockLen
+	byOffset := make(map[int][]int)
+	for g, offs := range groupOffsets {
+		for _, off := range offs {
+			byOffset[off] = append(byOffset[off], g)
 		}
 	}
+	kept := make(map[int][]int, before)
+	for off, gs := range byOffset {
+		window := q[off : off+w]
+		dropped := 0
+		for _, g := range gs {
+			if s, ok := prunable(g); ok && !s.SharesAny(window) {
+				dropped++
+				continue
+			}
+			kept[g] = append(kept[g], off)
+		}
+		if dropped == len(gs) {
+			guarded++
+		}
+	}
+	for g := range groupOffsets {
+		delete(groupOffsets, g)
+	}
+	for g, offs := range kept {
+		// byOffset iteration order is random; restore the ascending
+		// offset order decomposition produced so node-side processing
+		// stays deterministic.
+		sort.Ints(offs)
+		groupOffsets[g] = offs
+	}
+
 	return before - len(groupOffsets), guarded
 }
 
@@ -261,9 +222,8 @@ type SimilarityHit struct {
 // exact; the CI recall gate bounds the error elsewhere. topN <= 0 returns
 // every sequence with a non-zero estimate.
 func (c *Cluster) Similarity(query []byte, topN int) ([]SimilarityHit, error) {
-	p := c.cfg.sketchParams()
-	if p.K <= 0 || p.MinHashK <= 0 {
-		return nil, errors.New("core: similarity mode requires MinHash sketching (enabled by default; check SketchK/SketchMinHashK)")
+	if c.cfg.sketchParams().K <= 0 {
+		return nil, errors.New("core: similarity mode requires sketching (enabled by default; SketchK = -1 disables it)")
 	}
 	q := append([]byte(nil), query...)
 	if err := seq.AlphabetFor(c.cfg.Kind).Normalize(q); err != nil {
@@ -288,7 +248,7 @@ func (c *Cluster) Similarity(query []byte, topN int) ([]SimilarityHit, error) {
 
 	hits := make([]SimilarityHit, 0, len(entries))
 	for _, e := range entries {
-		j := sketch.JaccardBottomK(qmins, e.mins, p.MinHashK)
+		j := sketch.JaccardBottomK(qmins, e.mins, c.cfg.minHashK())
 		if j <= 0 {
 			continue
 		}
@@ -319,12 +279,7 @@ func (c *Cluster) SeqSketch(id seq.ID) []uint64 {
 // and of the verification harness's exact-vs-estimate comparison.
 func MinHashesOf(data []byte, cfg Config) []uint64 {
 	p := cfg.sketchParams()
-	if p.K <= 0 || p.MinHashK <= 0 {
-		return nil
-	}
-	s := sketch.New(sketch.Params{K: p.K, MinHashK: p.MinHashK, Kind: p.Kind})
-	s.Add(data)
-	return s.MinHashes()
+	return sketch.MinHashes(p.Kind, p.K, cfg.minHashK(), data)
 }
 
 // ExactJaccard computes the exact canonical k-mer Jaccard similarity of two
@@ -357,16 +312,12 @@ func distinctHashes(data []byte, p sketch.Params) []uint64 {
 // signatures persist in the manifest so Similarity works after LoadManifest
 // without contacting any node.
 func (c *Cluster) updateSeqSketches(set *seq.Set, base seq.ID) {
-	p := c.cfg.sketchParams()
-	if p.K <= 0 || p.MinHashK <= 0 {
+	if c.cfg.sketchParams().K <= 0 {
 		return
 	}
-	mp := sketch.Params{K: p.K, MinHashK: p.MinHashK, Kind: p.Kind}
 	mins := make(map[seq.ID][]uint64, len(set.Seqs))
 	for _, s := range set.Seqs {
-		sk := sketch.New(mp)
-		sk.Add(s.Data)
-		mins[base+s.ID] = sk.MinHashes()
+		mins[base+s.ID] = MinHashesOf(s.Data, c.cfg)
 	}
 	c.mu.Lock()
 	for id, v := range mins {

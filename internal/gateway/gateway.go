@@ -159,6 +159,31 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxBodyBytes caps every JSON request body the gateway decodes. The
+// repo's own clients send one query or one ~300-residue sequence per
+// request (a few KiB); 1 MiB leaves orders of magnitude of headroom for
+// real queries and batches while bounding what one request can make the
+// gateway buffer and parse.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, answering 413 when the body
+// exceeds maxBodyBytes and 400 when it is malformed. It reports whether v
+// was filled; on false the response has been written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
+	default:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	}
+	return false
+}
+
 func (g *Gateway) count(name string) {
 	if g.reg != nil {
 		g.reg.Counter(name).Inc()
@@ -189,8 +214,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	g.count("gw_requests_total")
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -323,8 +347,7 @@ func (g *Gateway) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	}
 	g.count("gw_requests_total")
 	var req SimilarityRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Query == "" {
@@ -415,8 +438,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	g.count("gw_ingests_total")
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Sequences) == 0 {

@@ -171,6 +171,44 @@ func TestGatewayRequestValidation(t *testing.T) {
 	}
 }
 
+// TestGatewayBodyCap sends each JSON endpoint a body one byte past
+// maxBodyBytes: it must answer 413, and the gateway must still serve a
+// normal request afterwards.
+func TestGatewayBodyCap(t *testing.T) {
+	e := newTestEnv(t, Config{})
+	query := string(e.db.Seqs[3].Data[40:160])
+	pad := func(prefix, suffix string) string {
+		return prefix + strings.Repeat("A", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	}
+	for _, tc := range []struct {
+		path, body, normal string
+	}{
+		{"/v1/search", pad(`{"query":"`, `"}`), `{"query":"` + query + `"}`},
+		{"/v1/similarity", pad(`{"query":"`, `"}`), `{"query":"` + query + `","top":3}`},
+		{"/v1/ingest", pad(`{"sequences":[{"name":"big","data":"`, `"}]}`),
+			`{"sequences":[{"name":"small","data":"` + query + `"}]}`},
+	} {
+		t.Run(tc.path, func(t *testing.T) {
+			if len(tc.body) != maxBodyBytes+1 {
+				t.Fatalf("over-cap body is %d bytes", len(tc.body))
+			}
+			for _, step := range []struct {
+				body string
+				want int
+			}{{tc.body, http.StatusRequestEntityTooLarge}, {tc.normal, http.StatusOK}} {
+				resp, err := http.Post(e.srv.URL+tc.path, "application/json", strings.NewReader(step.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != step.want {
+					t.Fatalf("%d-byte body: status = %d, want %d", len(step.body), resp.StatusCode, step.want)
+				}
+			}
+		})
+	}
+}
+
 // TestGatewayQueueFullSheds pins the overload contract: with the in-flight
 // window and wait queue both full, new requests get 429 with a Retry-After
 // hint instead of queueing without bound.

@@ -216,13 +216,8 @@ func (n *Node) bootstrap(b wire.Bootstrap) (any, error) {
 	n.seqs = make(map[seq.ID]storedSeq)
 	n.staged = nil
 	n.sketch = nil
-	if b.SketchK > 0 {
-		n.sketch = sketch.New(sketch.Params{
-			K:         b.SketchK,
-			BloomBits: b.SketchBloomBits,
-			MinHashK:  b.SketchMinHashK,
-			Kind:      b.Kind,
-		})
+	if sp := (sketch.Params{K: b.SketchK, BloomBits: b.SketchBloomBits, Kind: b.Kind}); sp.Enabled() {
+		n.sketch = sketch.New(sp)
 	}
 	return wire.BootstrapAck{}, nil
 }

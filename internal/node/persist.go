@@ -37,7 +37,6 @@ type snapshot struct {
 	// independent of the sketch encoding.
 	SketchK         int
 	SketchBloomBits int
-	SketchMinHashK  int
 }
 
 // SaveTo writes the node's durable state. Together with the coordinator's
@@ -80,7 +79,6 @@ func (n *Node) SaveTo(w io.Writer) error {
 			p := n.sketch.Params()
 			snap.SketchK = p.K
 			snap.SketchBloomBits = p.BloomBits
-			snap.SketchMinHashK = p.MinHashK
 		}
 	}
 	return gob.NewEncoder(w).Encode(&snap)
@@ -107,7 +105,6 @@ func (n *Node) LoadFrom(r io.Reader) error {
 		SearchBudget:    snap.SearchBudget,
 		SketchK:         snap.SketchK,
 		SketchBloomBits: snap.SketchBloomBits,
-		SketchMinHashK:  snap.SketchMinHashK,
 	}
 	if _, err := n.bootstrap(boot); err != nil {
 		return err

@@ -1,14 +1,14 @@
-// Package sketch provides the probabilistic group signatures behind
-// Mendel's query prefilter tier: a fixed-size Bloom filter over canonical
-// k-mers (membership: "does this group hold any block sharing a k-mer with
-// this window?") and a bottom-k MinHash sketch (cardinality-free Jaccard
-// estimation for the alignment-free similarity query mode).
+// Package sketch provides the k-mer signatures behind Mendel's sketch
+// tier, one structure per job: a fixed-size Bloom filter over canonical
+// k-mers is the group signature the query prefilter consults ("does this
+// group hold any block sharing a k-mer with this window?"), and a bottom-k
+// MinHash (MinHashes) is the per-sequence signature behind the
+// alignment-free similarity mode (cardinality-free Jaccard estimation).
 //
-// Both structures are order-independent — Bloom union is a word-wise OR and
-// bottom-k union keeps the k smallest distinct hashes of either side — so a
-// sketch is a pure function of the set of blocks added, no matter how
-// ingest, hint replay, and repair interleave. That is what lets the chaos
-// suite assert bit-identical sketches between a faulted-and-repaired
+// A Bloom filter is order-independent — union is a word-wise OR — so a
+// group signature is a pure function of the set of blocks added, no matter
+// how ingest, hint replay, and repair interleave. That is what lets the
+// chaos suite assert bit-identical sketches between a faulted-and-repaired
 // cluster and a never-faulted twin.
 //
 // A Bloom filter answers "definitely absent" or "maybe present"; the
@@ -39,7 +39,8 @@ const (
 	// DefaultBloomBits is the Bloom filter size in bits (1 MiBit = 128 KiB
 	// per group signature).
 	DefaultBloomBits = 1 << 20
-	// DefaultMinHashK is the bottom-k MinHash sketch size.
+	// DefaultMinHashK is the bottom-k size of the per-sequence similarity
+	// signatures.
 	DefaultMinHashK = 512
 )
 
@@ -47,17 +48,15 @@ const (
 // one 64-bit hash by double hashing.
 const bloomHashes = 2
 
-// Params fixes a sketch's shape. Two sketches can merge only if their
-// Params are identical, so the coordinator distributes one Params in the
-// Bootstrap message and every node builds against it.
+// Params fixes a group signature's shape. Two sketches can merge only if
+// their Params are identical, so the coordinator distributes one Params in
+// the Bootstrap message and every node builds against it.
 type Params struct {
 	// K is the k-mer length. Zero disables sketching entirely.
 	K int
 	// BloomBits is the Bloom filter size in bits, rounded up to a power of
-	// two. Zero disables the Bloom filter (MinHash-only sketch).
+	// two with a floor of 64. Zero disables sketching entirely.
 	BloomBits int
-	// MinHashK is the bottom-k sketch size. Zero disables MinHash.
-	MinHashK int
 	// Kind selects canonical hashing: DNA k-mers hash as
 	// min(hash(fwd), hash(revcomp)) so both strands share one signature.
 	Kind seq.Kind
@@ -69,49 +68,38 @@ func DefaultParams(kind seq.Kind) Params {
 	if kind == seq.DNA {
 		k = DefaultDNAK
 	}
-	return Params{K: k, BloomBits: DefaultBloomBits, MinHashK: DefaultMinHashK, Kind: kind}
+	return Params{K: k, BloomBits: DefaultBloomBits, Kind: kind}
 }
 
 // normalized rounds BloomBits up to a power of two (the probe mask must be
-// bits-1) with a floor of 64 when enabled.
+// bits-1) with a floor of 64.
 func (p Params) normalized() Params {
-	if p.BloomBits > 0 {
-		if p.BloomBits < 64 {
-			p.BloomBits = 64
-		}
-		if p.BloomBits&(p.BloomBits-1) != 0 {
-			p.BloomBits = 1 << bits.Len(uint(p.BloomBits))
-		}
+	if p.BloomBits < 64 {
+		p.BloomBits = 64
+	}
+	if p.BloomBits&(p.BloomBits-1) != 0 {
+		p.BloomBits = 1 << bits.Len(uint(p.BloomBits))
 	}
 	return p
 }
 
-// Enabled reports whether the params describe a non-empty sketch.
-func (p Params) Enabled() bool { return p.K > 0 && (p.BloomBits > 0 || p.MinHashK > 0) }
+// Enabled reports whether the params describe a sketch worth building.
+func (p Params) Enabled() bool { return p.K > 0 && p.BloomBits > 0 }
 
-// Sketch is one signature: Bloom bits and/or a bottom-k MinHash over the
-// canonical k-mers of everything added. The zero value is unusable; create
-// with New or UnmarshalBinary.
+// Sketch is one group signature: a Bloom filter over the canonical k-mers
+// of everything added. The zero value is unusable; create with New or
+// UnmarshalBinary.
 type Sketch struct {
 	p     Params
 	n     uint64 // k-mers added (with multiplicity); 0 means nothing added
 	bloom []uint64
 	mask  uint64
-	mins  *bottomK
 }
 
 // New creates an empty sketch with the given (normalized) params.
 func New(p Params) *Sketch {
 	p = p.normalized()
-	s := &Sketch{p: p}
-	if p.BloomBits > 0 {
-		s.bloom = make([]uint64, p.BloomBits/64)
-		s.mask = uint64(p.BloomBits - 1)
-	}
-	if p.MinHashK > 0 {
-		s.mins = newBottomK(p.MinHashK)
-	}
-	return s
+	return &Sketch{p: p, bloom: make([]uint64, p.BloomBits/64), mask: uint64(p.BloomBits - 1)}
 }
 
 // Params returns the sketch's normalized params.
@@ -129,25 +117,16 @@ func (s *Sketch) Add(data []byte) {
 // AddHash adds one pre-computed canonical k-mer hash.
 func (s *Sketch) AddHash(h uint64) {
 	s.n++
-	if s.bloom != nil {
-		h2 := h>>33 | 1
-		for i := uint64(0); i < bloomHashes; i++ {
-			pos := (h + i*h2) & s.mask
-			s.bloom[pos>>6] |= 1 << (pos & 63)
-		}
-	}
-	if s.mins != nil {
-		s.mins.add(h)
+	h2 := h>>33 | 1
+	for i := uint64(0); i < bloomHashes; i++ {
+		pos := (h + i*h2) & s.mask
+		s.bloom[pos>>6] |= 1 << (pos & 63)
 	}
 }
 
 // ContainsHash probes the Bloom filter: false means the k-mer was
-// definitely never added; true means it may have been. Sketches without a
-// Bloom filter answer true (nothing can be ruled out).
+// definitely never added; true means it may have been.
 func (s *Sketch) ContainsHash(h uint64) bool {
-	if s.bloom == nil {
-		return true
-	}
 	h2 := h>>33 | 1
 	for i := uint64(0); i < bloomHashes; i++ {
 		pos := (h + i*h2) & s.mask
@@ -163,7 +142,7 @@ func (s *Sketch) ContainsHash(h uint64) bool {
 // granularity"); true may be a Bloom false positive. Windows shorter than
 // K share nothing provable, so they answer true.
 func (s *Sketch) SharesAny(window []byte) bool {
-	if s.bloom == nil || len(window) < s.p.K {
+	if len(window) < s.p.K {
 		return true
 	}
 	found := false
@@ -176,8 +155,7 @@ func (s *Sketch) SharesAny(window []byte) bool {
 }
 
 // Merge folds o into s. Both sides must share identical params. Merging is
-// commutative and associative: Bloom words OR together and the bottom-k
-// union keeps the smallest distinct hashes of either side.
+// commutative and associative: the Bloom words OR together.
 func (s *Sketch) Merge(o *Sketch) error {
 	if o == nil {
 		return nil
@@ -189,53 +167,26 @@ func (s *Sketch) Merge(o *Sketch) error {
 	for i, w := range o.bloom {
 		s.bloom[i] |= w
 	}
-	if s.mins != nil && o.mins != nil {
-		for _, h := range o.mins.sorted() {
-			s.mins.add(h)
-		}
-	}
 	return nil
 }
 
-// MinHashes returns the bottom-k hash values in ascending order (a copy).
-// For an input with at most MinHashK distinct k-mers this is the exact
-// distinct-hash set, which makes Jaccard estimates on small corpora exact.
-func (s *Sketch) MinHashes() []uint64 {
-	if s == nil || s.mins == nil {
-		return nil
-	}
-	return s.mins.sorted()
-}
-
-// Clone returns a deep copy.
-func (s *Sketch) Clone() *Sketch {
-	c := New(s.p)
-	c.Merge(s)
-	return c
-}
-
-// marshalVersion tags the binary layout for forward evolution.
-const marshalVersion = 1
+// marshalVersion tags the binary layout. Version 1 carried a bottom-k
+// MinHash section after the Bloom words; version 2 is Bloom-only, and a
+// version-1 encoding is rejected like any other corrupt input.
+const marshalVersion = 2
 
 // MarshalBinary encodes the sketch: a version byte, the params, the add
-// count, the Bloom words, and the sorted bottom-k values. Two sketches over
-// the same multiset of inputs marshal identically (the chaos suite's
+// count and the Bloom words (exactly BloomBits/64 of them). Two sketches
+// over the same multiset of inputs marshal identically (the chaos suite's
 // bit-identity hook).
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	mins := s.MinHashes()
-	out := make([]byte, 0, 16+len(s.bloom)*8+len(mins)*8)
+	out := make([]byte, 0, 16+len(s.bloom)*8)
 	out = append(out, marshalVersion, byte(s.p.Kind))
 	out = binary.AppendUvarint(out, uint64(s.p.K))
 	out = binary.AppendUvarint(out, uint64(s.p.BloomBits))
-	out = binary.AppendUvarint(out, uint64(s.p.MinHashK))
 	out = binary.AppendUvarint(out, s.n)
-	out = binary.AppendUvarint(out, uint64(len(s.bloom)))
 	for _, w := range s.bloom {
 		out = binary.LittleEndian.AppendUint64(out, w)
-	}
-	out = binary.AppendUvarint(out, uint64(len(mins)))
-	for _, h := range mins {
-		out = binary.LittleEndian.AppendUint64(out, h)
 	}
 	return out, nil
 }
@@ -243,7 +194,8 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 var errCorrupt = errors.New("sketch: corrupt encoding")
 
 // UnmarshalBinary decodes a MarshalBinary encoding. Arbitrary input is
-// rejected with an error, never a panic or an oversized allocation.
+// rejected with an error, never a panic or an oversized allocation: the
+// Bloom words must all be present before the filter is allocated.
 func UnmarshalBinary(data []byte) (*Sketch, error) {
 	if len(data) < 2 || data[0] != marshalVersion {
 		return nil, errCorrupt
@@ -260,40 +212,18 @@ func UnmarshalBinary(data []byte) (*Sketch, error) {
 	}
 	k, ok1 := next()
 	bbits, ok2 := next()
-	mk, ok3 := next()
-	n, ok4 := next()
-	if !ok1 || !ok2 || !ok3 || !ok4 || k > 1<<16 || bbits > 1<<32 || mk > 1<<24 {
+	n, ok3 := next()
+	if !ok1 || !ok2 || !ok3 || k > 1<<16 || bbits > 1<<32 {
 		return nil, errCorrupt
 	}
-	p := Params{K: int(k), BloomBits: int(bbits), MinHashK: int(mk), Kind: kind}
-	if p.normalized() != p {
+	p := Params{K: int(k), BloomBits: int(bbits), Kind: kind}
+	if p.normalized() != p || uint64(len(rest)) != bbits/8 {
 		return nil, errCorrupt // only normalized params are ever marshalled
 	}
 	s := New(p)
 	s.n = n
-	words, ok := next()
-	if !ok || int(words) != len(s.bloom) || len(rest) < int(words)*8 {
-		return nil, errCorrupt
-	}
-	for i := 0; i < int(words); i++ {
+	for i := range s.bloom {
 		s.bloom[i] = binary.LittleEndian.Uint64(rest[i*8:])
-	}
-	rest = rest[words*8:]
-	nmins, ok := next()
-	if !ok || nmins > mk || len(rest) != int(nmins)*8 {
-		return nil, errCorrupt
-	}
-	if s.mins == nil && nmins > 0 {
-		return nil, errCorrupt
-	}
-	prev := uint64(0)
-	for i := 0; i < int(nmins); i++ {
-		h := binary.LittleEndian.Uint64(rest[i*8:])
-		if i > 0 && h <= prev {
-			return nil, errCorrupt // must be strictly ascending
-		}
-		prev = h
-		s.mins.add(h)
 	}
 	return s, nil
 }
@@ -344,32 +274,23 @@ func Hashes(kind seq.Kind, k int, data []byte, fn func(uint64)) {
 	}
 }
 
-// CountHashes returns the number of distinct canonical k-mer hashes in data.
-func CountHashes(kind seq.Kind, k int, data []byte) int {
-	set := make(map[uint64]struct{})
-	Hashes(kind, k, data, func(h uint64) { set[h] = struct{}{} })
-	return len(set)
-}
-
-// EstimateContainment returns the fraction of the given hashes the sketch's
-// Bloom filter may contain. Zero is definitive: none of the hashes were
-// ever added. Used by the minhash prefilter mode, which probes the query's
-// bottom-k sample against each group's Bloom filter.
-func EstimateContainment(hashes []uint64, s *Sketch) float64 {
-	if len(hashes) == 0 {
-		return 1 // nothing to rule out
+// MinHashes returns the bottom-size MinHash signature of data: its size
+// smallest distinct canonical k-mer hashes, ascending. For data with at
+// most size distinct k-mers this is the exact distinct-hash set, which
+// makes Jaccard estimates between short sequences exact. It is the
+// per-sequence signature of the similarity mode; k <= 0 or size <= 0
+// yields nil.
+func MinHashes(kind seq.Kind, k, size int, data []byte) []uint64 {
+	if k <= 0 || size <= 0 {
+		return nil
 	}
-	found := 0
-	for _, h := range hashes {
-		if s.ContainsHash(h) {
-			found++
-		}
-	}
-	return float64(found) / float64(len(hashes))
+	b := newBottomK(size)
+	Hashes(kind, k, data, b.add)
+	return b.sorted()
 }
 
 // JaccardBottomK estimates the Jaccard similarity of two sets from their
-// bottom-k sketches (sorted ascending, as MinHashes returns): take the k
+// bottom-k signatures (sorted ascending, as MinHashes returns): take the k
 // smallest hashes of the union and count how many belong to both sides.
 // When both inputs hold their full distinct-hash sets (fewer than k
 // distinct k-mers) the estimate is exact.

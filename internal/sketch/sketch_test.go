@@ -2,8 +2,10 @@ package sketch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mendel/internal/seq"
@@ -30,7 +32,7 @@ func randDNA(rng *rand.Rand, n int) []byte {
 }
 
 func testParams() Params {
-	return Params{K: 5, BloomBits: 1 << 14, MinHashK: 64, Kind: seq.Protein}
+	return Params{K: 5, BloomBits: 1 << 14, Kind: seq.Protein}
 }
 
 func TestBloomNoFalseNegatives(t *testing.T) {
@@ -114,10 +116,8 @@ func TestMergeIncompatibleParams(t *testing.T) {
 func TestBottomKExactOnSmallSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := randProtein(rng, 40), randProtein(rng, 40)
-	p := Params{K: 5, MinHashK: 4096, Kind: seq.Protein} // k >> distinct k-mers
-	sa, sb := New(p), New(p)
-	sa.Add(a)
-	sb.Add(b)
+	// size >> distinct k-mers
+	sa, sb := MinHashes(seq.Protein, 5, 4096, a), MinHashes(seq.Protein, 5, 4096, b)
 
 	// Exact Jaccard over the distinct canonical hash sets.
 	setOf := func(data []byte) map[uint64]struct{} {
@@ -135,27 +135,24 @@ func TestBottomKExactOnSmallSets(t *testing.T) {
 	union := len(ma) + len(mb) - inter
 	want := float64(inter) / float64(union)
 
-	got := JaccardBottomK(sa.MinHashes(), sb.MinHashes(), 4096)
+	got := JaccardBottomK(sa, sb, 4096)
 	if got != want {
 		t.Fatalf("bottom-k estimate %v != exact %v on small sets", got, want)
 	}
-	if got := JaccardBottomK(sa.MinHashes(), sa.MinHashes(), 4096); got != 1 {
+	if got := JaccardBottomK(sa, sa, 4096); got != 1 {
 		t.Fatalf("self Jaccard = %v, want 1", got)
 	}
 }
 
 func TestJaccardEstimateErrorBound(t *testing.T) {
-	// The recall gate's minhash contract: estimates within 0.05 of truth.
+	// The recall gate's similarity contract: estimates within 0.05 of truth.
 	// Overlapping sequences sharing a common core, k = 512 bottom hashes.
 	rng := rand.New(rand.NewSource(4))
 	core := randProtein(rng, 800)
 	for trial := 0; trial < 10; trial++ {
 		a := append(append([]byte{}, core...), randProtein(rng, 400)...)
 		b := append(append([]byte{}, core...), randProtein(rng, 400)...)
-		p := Params{K: 5, MinHashK: 512, Kind: seq.Protein}
-		sa, sb := New(p), New(p)
-		sa.Add(a)
-		sb.Add(b)
+		sa, sb := MinHashes(seq.Protein, 5, 512, a), MinHashes(seq.Protein, 5, 512, b)
 		setOf := func(data []byte) map[uint64]struct{} {
 			m := make(map[uint64]struct{})
 			Hashes(seq.Protein, 5, data, func(h uint64) { m[h] = struct{}{} })
@@ -169,7 +166,7 @@ func TestJaccardEstimateErrorBound(t *testing.T) {
 			}
 		}
 		exact := float64(inter) / float64(len(ma)+len(mb)-inter)
-		est := JaccardBottomK(sa.MinHashes(), sb.MinHashes(), 512)
+		est := JaccardBottomK(sa, sb, 512)
 		if d := est - exact; d > 0.05 || d < -0.05 {
 			t.Fatalf("trial %d: estimate %v vs exact %v (error %v > 0.05)", trial, est, exact, d)
 		}
@@ -184,7 +181,7 @@ func TestDNACanonicalHashing(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := s.ReverseComplement()
-	p := Params{K: 11, BloomBits: 1 << 14, MinHashK: 128, Kind: seq.DNA}
+	p := Params{K: 11, BloomBits: 1 << 14, Kind: seq.DNA}
 	sf, sr := New(p), New(p)
 	sf.Add(s.Data)
 	sr.Add(rc)
@@ -199,9 +196,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, p := range []Params{
 		testParams(),
-		{K: 11, BloomBits: 1 << 10, Kind: seq.DNA},             // bloom only
-		{K: 5, MinHashK: 32, Kind: seq.Protein},                // minhash only
-		{K: 5, BloomBits: 100, MinHashK: 8, Kind: seq.Protein}, // non-pow2 bits
+		{K: 11, BloomBits: 1 << 10, Kind: seq.DNA},
+		{K: 5, BloomBits: 100, Kind: seq.Protein}, // non-pow2 bits
 	} {
 		s := New(p)
 		s.Add(randProtein(rng, 300))
@@ -220,9 +216,6 @@ func TestMarshalRoundTrip(t *testing.T) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("params %+v: round trip not stable", p)
 		}
-		if !reflect.DeepEqual(s.MinHashes(), back.MinHashes()) {
-			t.Fatalf("params %+v: MinHashes changed across round trip", p)
-		}
 	}
 }
 
@@ -230,30 +223,36 @@ func TestUnmarshalRejectsCorrupt(t *testing.T) {
 	s := New(testParams())
 	s.Add([]byte("ARNDCQEGHILKMFPSTWYV"))
 	enc, _ := s.MarshalBinary()
+	// A version-1 encoding (the retired layout with a bottom-k section) of
+	// a 64-bit filter: version, kind, K, BloomBits, MinHashK, n, one Bloom
+	// word, an empty bottom-k list.
+	v1 := []byte{1, byte(seq.Protein), 5, 64, 8, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0}
 	for _, bad := range [][]byte{
 		nil,
 		{},
 		{99},
 		enc[:len(enc)-3],
 		append(append([]byte{}, enc...), 1, 2, 3),
+		v1,
 	} {
 		if _, err := UnmarshalBinary(bad); err == nil {
 			t.Fatalf("corrupt input %v accepted", bad)
 		}
 	}
-}
 
-func TestEstimateContainment(t *testing.T) {
-	s := New(testParams())
-	data := []byte("ARNDCQEGHILKMFPSTWYVARNDC")
-	s.Add(data)
-	var present []uint64
-	Hashes(seq.Protein, 5, data, func(h uint64) { present = append(present, h) })
-	if got := EstimateContainment(present, s); got != 1 {
-		t.Fatalf("containment of added hashes = %v, want 1", got)
+	// A header claiming a 2^32-bit filter with no words behind it must be
+	// rejected before the 512 MiB filter is allocated.
+	huge := binary.AppendUvarint([]byte{marshalVersion, byte(seq.Protein), 5}, 1<<32)
+	huge = append(huge, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalBinary(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated 2^32-bit sketch accepted")
 	}
-	if got := EstimateContainment(nil, s); got != 1 {
-		t.Fatalf("containment of empty hash list = %v, want 1 (nothing provable)", got)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a 10-byte header allocated %d bytes", grew)
 	}
 }
 
@@ -277,8 +276,7 @@ func FuzzSketchRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("remarshal of accepted sketch failed: %v", err)
 			}
-			back, err := UnmarshalBinary(enc)
-			if err != nil || !reflect.DeepEqual(back.MinHashes(), s.MinHashes()) {
+			if back, err := UnmarshalBinary(enc); err != nil || !reflect.DeepEqual(back, s) {
 				t.Fatalf("accepted sketch did not survive a round trip: %v", err)
 			}
 		}
@@ -287,7 +285,7 @@ func FuzzSketchRoundTrip(f *testing.F) {
 		if !protein {
 			kind = seq.DNA
 		}
-		p := Params{K: int(kk%12) + 3, BloomBits: 1 << 12, MinHashK: 32, Kind: kind}
+		p := Params{K: int(kk%12) + 3, BloomBits: 1 << 12, Kind: kind}
 
 		// Merge of two single-input sketches must equal one bulk sketch
 		// over both inputs (order-independent union).

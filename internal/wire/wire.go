@@ -128,14 +128,13 @@ type Bootstrap struct {
 	// SearchBudget caps the distance evaluations of each local vp-tree
 	// lookup (0 = exact search). See vptree.NearestBudget.
 	SearchBudget int
-	// SketchK, SketchBloomBits and SketchMinHashK distribute the cluster's
-	// sketch shape (internal/sketch.Params) so every node builds identical,
-	// mergeable k-mer signatures during ingest. SketchK == 0 — the value a
-	// pre-sketch coordinator sends implicitly, since gob omits unknown
+	// SketchK and SketchBloomBits distribute the cluster's group-signature
+	// shape (internal/sketch.Params) so every node builds identical,
+	// mergeable k-mer Bloom filters during ingest. SketchK == 0 — the value
+	// a pre-sketch coordinator sends implicitly, since gob omits unknown
 	// fields — disables node-side sketching entirely.
 	SketchK         int
 	SketchBloomBits int
-	SketchMinHashK  int
 }
 
 // BootstrapAck acknowledges Bootstrap.

@@ -70,7 +70,7 @@ type (
 	// BatchResult pairs one query of a SearchAll batch with its outcome.
 	BatchResult = core.BatchResult
 	// PrefilterMode selects the sketch-based group prefilter consulted
-	// before query fan-out (off, bloom or minhash).
+	// before query fan-out (off or bloom).
 	PrefilterMode = core.PrefilterMode
 	// SimilarityHit is one alignment-free MinHash similarity result.
 	SimilarityHit = core.SimilarityHit
@@ -79,16 +79,15 @@ type (
 // Sketch prefilter modes, settable with Cluster.SetPrefilterMode and parsed
 // from the CLIs' -prefilter flag by ParsePrefilterMode.
 const (
-	PrefilterOff     = core.PrefilterOff
-	PrefilterBloom   = core.PrefilterBloom
-	PrefilterMinHash = core.PrefilterMinHash
+	PrefilterOff   = core.PrefilterOff
+	PrefilterBloom = core.PrefilterBloom
 )
 
-// ParsePrefilterMode parses the -prefilter flag values off|bloom|minhash.
+// ParsePrefilterMode parses the -prefilter flag values off|bloom.
 func ParsePrefilterMode(s string) (PrefilterMode, error) { return core.ParsePrefilterMode(s) }
 
-// MinHashesOf computes the bottom-k MinHash signature of a sequence under
-// the cluster configuration's sketch params — the query-side half of
+// MinHashesOf computes the per-sequence bottom-k MinHash signature of a
+// sequence under the cluster configuration's sketch params — the query-side half of
 // Cluster.Similarity, exported for the similarity verification harness.
 func MinHashesOf(data []byte, cfg Config) []uint64 { return core.MinHashesOf(data, cfg) }
 
